@@ -16,8 +16,11 @@ const guardRegressionThreshold = 1.20
 // TestBenchRegressionGuard replays the committed bench.json kernels for
 // the FFT plans, the streaming engine (convolver and AoA tracker), the
 // sensor-fusion solve on both its exact and cascade paths, and the
-// whole-pipeline personalize records, and fails on a >20% ns/op
-// regression. Opt-in (it costs benchmark time):
+// whole-pipeline personalize records (including the default solve's
+// per-stage records), and fails on a >20% ns/op regression. It also logs
+// each stage's measured share of the default solve next to the committed
+// share, so a shift in where the solve spends its time is visible. Opt-in
+// (it costs benchmark time):
 //
 //	BENCH_GUARD=1 go test -run TestBenchRegressionGuard .
 //
@@ -40,6 +43,7 @@ func TestBenchRegressionGuard(t *testing.T) {
 		t.Fatalf("bench.json schema %q not understood", sum.Schema)
 	}
 	guarded := 0
+	measured := map[string]float64{}
 	for _, rec := range sum.Benchmarks {
 		if !strings.HasPrefix(rec.Name, "fft/planned/") &&
 			!strings.HasPrefix(rec.Name, "stream/") &&
@@ -70,12 +74,20 @@ func TestBenchRegressionGuard(t *testing.T) {
 				}
 			}
 		}
+		measured[rec.Name] = got
 		ratio := got / rec.NsPerOp
 		if ratio > guardRegressionThreshold {
 			t.Errorf("%s regressed: %.0f ns/op vs committed %.0f ns/op (%.2fx > %.2fx allowed)",
 				rec.Name, got, rec.NsPerOp, ratio, guardRegressionThreshold)
 		} else {
 			t.Logf("%s: %.0f ns/op vs committed %.0f ns/op (%.2fx)", rec.Name, got, rec.NsPerOp, ratio)
+		}
+	}
+	for _, st := range personalizeStages {
+		name := "personalize/stage/" + st
+		if got, total := measured[name], measured["personalize/default"]; got > 0 && total > 0 {
+			t.Logf("%s: %.1f%% of personalize/default vs committed %.1f%%",
+				name, 100*got/total, 100*sum.Derived["personalizeStageShare/"+st])
 		}
 	}
 	if guarded == 0 {

@@ -239,6 +239,21 @@ func measureKernel(name string) (testing.BenchmarkResult, bool) {
 		// Profile-store kernels (see benchstore_test.go): cache-bypassing
 		// cold reads, the legacy JSON baseline, durable puts, bulk load.
 		return measureStoreKernel(name)
+	case name == "personalize/default":
+		// The solve uniqd runs: default fusion cascade, near-field and
+		// far-field options, on the sequential fan-out so the record does
+		// not depend on the core count.
+		r, _, err := measurePersonalizeDefault()
+		return r, err == nil
+	case strings.HasPrefix(name, "personalize/stage/"):
+		// One pipeline stage of the personalize/default solve: its mean
+		// wall time per solve, attributed through PipelineOptions.Observer.
+		_, stages, err := measurePersonalizeDefault()
+		if err != nil {
+			return testing.BenchmarkResult{}, false
+		}
+		r, ok := stages[strings.TrimPrefix(name, "personalize/stage/")]
+		return r, ok
 	case strings.HasPrefix(name, "personalize/workers="):
 		// Whole pipeline, coarse fusion, N internal workers (mirrors
 		// BenchmarkPersonalizeParallel). Parallel records raise GOMAXPROCS
@@ -278,6 +293,59 @@ func measureKernel(name string) (testing.BenchmarkResult, bool) {
 		}), true
 	}
 	return testing.BenchmarkResult{}, false
+}
+
+// personalizeStages are the pipeline stages recorded as
+// personalize/stage/<stage>, in execution order (the gesture check is
+// omitted: it is a few microseconds).
+var personalizeStages = []string{
+	core.StageChannelEstimation,
+	core.StageSensorFusion,
+	core.StageNearField,
+	core.StageFarField,
+}
+
+// stageTimer sums Observer stage durations across solves.
+type stageTimer struct {
+	mu    sync.Mutex
+	total map[string]time.Duration
+}
+
+func (s *stageTimer) StageDone(stage string, d time.Duration, _ error) {
+	s.mu.Lock()
+	s.total[stage] += d
+	s.mu.Unlock()
+}
+
+func (s *stageTimer) SkippedStops(int) {}
+
+// measurePersonalizeDefault benchmarks the personalize/default solve and
+// splits its time by stage: each stage result carries the solve's
+// iteration count and that stage's summed wall time, so its NsPerOp is the
+// stage's mean time per solve.
+func measurePersonalizeDefault() (testing.BenchmarkResult, map[string]testing.BenchmarkResult, error) {
+	in, err := personalizeBenchInput()
+	if err != nil {
+		return testing.BenchmarkResult{}, nil, err
+	}
+	var timer *stageTimer
+	r := testing.Benchmark(func(b *testing.B) {
+		// testing.Benchmark calls this with growing b.N; only the last
+		// (reported) run's stage times are kept.
+		timer = &stageTimer{total: map[string]time.Duration{}}
+		opt := core.PipelineOptions{Workers: -1, Observer: timer}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Personalize(in, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	stages := make(map[string]testing.BenchmarkResult, len(personalizeStages))
+	for _, st := range personalizeStages {
+		stages[st] = testing.BenchmarkResult{N: r.N, T: timer.total[st]}
+	}
+	return r, stages, nil
 }
 
 // sceneBenchTable memoizes the profile shared by the scene kernels (three
@@ -545,6 +613,19 @@ func TestEmitBenchJSON(t *testing.T) {
 		if base, par := perWorkers[1], perWorkers[n]; base > 0 && par > 0 {
 			sum.Derived["personalizeSpeedupNumCPUvs1"] = base / par
 		}
+	}
+
+	// The default solve and its per-stage breakdown, measured in one run
+	// so the shares add up against the same total.
+	def, stages, err := measurePersonalizeDefault()
+	if err != nil {
+		t.Fatalf("personalize/default: %v", err)
+	}
+	defRec := add("personalize/default", def)
+	sum.Benchmarks[len(sum.Benchmarks)-1].SessionsPerSec = 1e9 / defRec.NsPerOp
+	for _, st := range personalizeStages {
+		rec := add("personalize/stage/"+st, stages[st])
+		sum.Derived["personalizeStageShare/"+st] = rec.NsPerOp / defRec.NsPerOp
 	}
 
 	out, err := json.MarshalIndent(sum, "", "  ")

@@ -38,14 +38,7 @@ func TestPersonalizeGoldenBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	for _, part := range []any{p.Table, p.HeadParams, p.TrackDeg, p.Radii} {
-		if err := enc.Encode(part); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := hex.EncodeToString(h.Sum(nil))
+	got := hashPersonalization(t, p)
 	if os.Getenv("GOLDEN_UPDATE") != "" {
 		t.Logf("golden hash: %s", got)
 		return
@@ -55,4 +48,53 @@ func TestPersonalizeGoldenBitExact(t *testing.T) {
 			"the delay-field/cache rewrite must be bit-invisible; if this change is intentional, refresh with GOLDEN_UPDATE=1",
 			got, personalizeGoldenHash)
 	}
+}
+
+// personalizeDefaultGoldenHash pins the pipeline uniqd actually runs: the
+// default options (fast fusion cascade, default near-field and far-field
+// synthesis) over a full 37-stop sweep. It was captured before the
+// tabulated peak kernel and the per-synthesis alignment memo, both of
+// which must be bit-invisible. Refresh deliberately with
+//
+//	GOLDEN_UPDATE=1 go test -run TestPersonalizeDefaultGoldenBitExact ./internal/core
+//
+// only when an intentional numerical change is being made.
+const personalizeDefaultGoldenHash = "4de878a401d9f379be62417807a7724636ea0f63830139239be51b9773974156"
+
+// TestPersonalizeDefaultGoldenBitExact is TestPersonalizeGoldenBitExact
+// for the default pipeline, hashing the same four output parts.
+func TestPersonalizeDefaultGoldenBitExact(t *testing.T) {
+	v := sim.NewVolunteer(3, 9001)
+	s, err := sim.RunSession(v, sim.SessionConfig{NumStops: 37})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Personalize(sessionInput(s), PipelineOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := hashPersonalization(t, p)
+	if os.Getenv("GOLDEN_UPDATE") != "" {
+		t.Logf("golden hash: %s", got)
+		return
+	}
+	if got != personalizeDefaultGoldenHash {
+		t.Fatalf("default personalization output drifted from the frozen golden:\n got  %s\n want %s\n"+
+			"the far-field fast path must be bit-invisible; if this change is intentional, refresh with GOLDEN_UPDATE=1",
+			got, personalizeDefaultGoldenHash)
+	}
+}
+
+// hashPersonalization is the SHA-256 over the JSON encoding of the output
+// table, head parameters, track and radii.
+func hashPersonalization(t *testing.T, p *Personalization) string {
+	t.Helper()
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	for _, part := range []any{p.Table, p.HeadParams, p.TrackDeg, p.Radii} {
+		if err := enc.Encode(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -56,14 +56,18 @@ func SynthesizeFarField(near *hrtf.Table, params head.Params, opt NearFarOptions
 		return nil, ErrEmptyNearField
 	}
 	refTap := refTapSeconds * sr
+	// Every near-field HRIR on a far-field angle's arc is aligned to the
+	// same reference tap, and neighbouring arcs overlap heavily, so each
+	// (entry, ear) is aligned once per call and shared across angles.
+	aligned := newAlignedNear(near, irLen, refTap)
 
 	n := int(180/opt.StepDeg) + 1
 	far := hrtf.NewTable(sr, 0, opt.StepDeg, n)
 	for i := 0; i < n; i++ {
 		theta := far.Angle(i)
 		leftSet, rightSet := contributingAngles(model, near, theta, opt.Radius)
-		hl := averageAligned(near, leftSet, head.Left, irLen, refTap)
-		hr := averageAligned(near, rightSet, head.Right, irLen, refTap)
+		hl := aligned.average(leftSet, head.Left)
+		hr := aligned.average(rightSet, head.Right)
 		if hl == nil || hr == nil {
 			// Degenerate geometry: fall back to the near-field HRIR at
 			// the same angle.
@@ -94,15 +98,15 @@ func SynthesizeFarField(near *hrtf.Table, params head.Params, opt NearFarOptions
 	return far, nil
 }
 
-// weightedAngle is a contributing near-field angle and its averaging
+// weightedAngle is a contributing near-field table index and its averaging
 // weight. Rays closer to the ear-bound ray dominate the arrival physically,
 // so they carry more weight than rays near the central normal ray.
 type weightedAngle struct {
-	deg    float64
+	idx    int
 	weight float64
 }
 
-// contributingAngles returns the near-field table angles (degrees) whose
+// contributingAngles returns the near-field table entries whose
 // trajectory points intercept far-field rays bound for each ear: the arcs
 // [C,B] (left) and [C,D] (right) of Fig 12, with weights biased toward the
 // ear-bound ray.
@@ -145,12 +149,12 @@ func contributingAngles(model *head.Model, near *hrtf.Table, thetaDeg, radius fl
 		if o*sideL >= 0 {
 			ext := math.Abs(extentFor(sideL, posExtent, negExtent))
 			if math.Abs(o) <= ext {
-				left = append(left, weightedAngle{ang, rayWeight(o, oL, ext)})
+				left = append(left, weightedAngle{i, rayWeight(o, oL, ext)})
 			}
 		} else {
 			ext := math.Abs(extentFor(-sideL, posExtent, negExtent))
 			if math.Abs(o) <= ext {
-				right = append(right, weightedAngle{ang, rayWeight(o, oR, ext)})
+				right = append(right, weightedAngle{i, rayWeight(o, oR, ext)})
 			}
 		}
 	}
@@ -181,24 +185,52 @@ func extentFor(side, posExtent, negExtent float64) float64 {
 	return negExtent
 }
 
-// averageAligned first-tap aligns the selected near-field HRIRs for one ear
-// and forms their weighted average.
-func averageAligned(near *hrtf.Table, angles []weightedAngle, ear head.Ear, irLen int, refTap float64) []float64 {
+// alignedNear first-tap aligns near-field HRIRs to one reference tap and
+// zero-pads them to a common length, computing each (table index, ear)
+// at most once. It lives for one SynthesizeFarField call.
+type alignedNear struct {
+	near   *hrtf.Table
+	irLen  int
+	refTap float64
+	ears   [2][][]float64 // [ear][table index], nil until first use
+}
+
+func newAlignedNear(near *hrtf.Table, irLen int, refTap float64) *alignedNear {
+	a := &alignedNear{near: near, irLen: irLen, refTap: refTap}
+	for e := range a.ears {
+		a.ears[e] = make([][]float64, near.NumAngles())
+	}
+	return a
+}
+
+// at returns the aligned, zero-padded HRIR of one ear at table index i.
+// The result is shared and must not be modified.
+func (a *alignedNear) at(i int, ear head.Ear) []float64 {
+	if h := a.ears[ear][i]; h != nil {
+		return h
+	}
+	src := a.near.Near[i].Left
+	if ear == head.Right {
+		src = a.near.Near[i].Right
+	}
+	h := dsp.ZeroPad(hrtf.AlignTo(src, a.refTap), a.irLen)
+	a.ears[ear][i] = h
+	return h
+}
+
+// average forms the weighted average of the aligned near-field HRIRs of
+// one ear at the selected angles.
+func (a *alignedNear) average(angles []weightedAngle, ear head.Ear) []float64 {
 	if len(angles) == 0 {
 		return nil
 	}
-	acc := make([]float64, irLen)
+	acc := make([]float64, a.irLen)
 	totalW := 0.0
 	for _, wa := range angles {
-		h, err := near.NearAt(wa.deg)
-		if err != nil || h.Empty() || wa.weight <= 0 {
+		if a.near.Near[wa.idx].Empty() || wa.weight <= 0 {
 			continue
 		}
-		src := h.Left
-		if ear == head.Right {
-			src = h.Right
-		}
-		aligned := dsp.ZeroPad(hrtf.AlignTo(src, refTap), irLen)
+		aligned := a.at(wa.idx, ear)
 		for k := range acc {
 			acc[k] += wa.weight * aligned[k]
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dsp"
 	"repro/internal/geom"
 	"repro/internal/head"
 	"repro/internal/hrtf"
@@ -83,6 +84,95 @@ func TestSynthesizeFarFieldMatchesGroundTruth(t *testing.T) {
 	}
 }
 
+// averageAlignedPerAngle is the reference arc average: it re-aligns every
+// contributing near-field HRIR on each call, as far-field synthesis did
+// before alignments were shared across angles.
+func averageAlignedPerAngle(near *hrtf.Table, angles []weightedAngle, ear head.Ear, irLen int, refTap float64) []float64 {
+	if len(angles) == 0 {
+		return nil
+	}
+	acc := make([]float64, irLen)
+	totalW := 0.0
+	for _, wa := range angles {
+		h, err := near.NearAt(near.Angle(wa.idx))
+		if err != nil || h.Empty() || wa.weight <= 0 {
+			continue
+		}
+		src := h.Left
+		if ear == head.Right {
+			src = h.Right
+		}
+		aligned := dsp.ZeroPad(hrtf.AlignTo(src, refTap), irLen)
+		for k := range acc {
+			acc[k] += wa.weight * aligned[k]
+		}
+		totalW += wa.weight
+	}
+	if totalW == 0 {
+		return nil
+	}
+	inv := 1 / totalW
+	for k := range acc {
+		acc[k] *= inv
+	}
+	return acc
+}
+
+// TestAlignedNearMatchesPerAngleAlignment holds the shared alignments to
+// bit-equality with re-aligning per far-field angle, and checks each
+// (entry, ear) is aligned once and reused.
+func TestAlignedNearMatchesPerAngleAlignment(t *testing.T) {
+	v := sim.NewVolunteer(2, 5)
+	sr, radius := 48000.0, 0.3
+	near := nearTableFromTruth(t, v, sr, radius)
+	model, err := head.NewWithResolution(v.Head, 240)
+	if err != nil {
+		t.Fatal(err)
+	}
+	irLen := 0
+	for _, h := range near.Near {
+		irLen = max(irLen, len(h.Left))
+	}
+	refTap := refTapSeconds * sr
+	aligned := newAlignedNear(near, irLen, refTap)
+	uses := 0
+	for theta := 0.0; theta <= 180; theta += near.AngleStep {
+		left, right := contributingAngles(model, near, theta, radius)
+		for _, c := range []struct {
+			set []weightedAngle
+			ear head.Ear
+		}{{left, head.Left}, {right, head.Right}} {
+			got := aligned.average(c.set, c.ear)
+			want := averageAlignedPerAngle(near, c.set, c.ear, irLen, refTap)
+			if len(got) != len(want) {
+				t.Fatalf("%g deg %v: len %d, want %d", theta, c.ear, len(got), len(want))
+			}
+			for k := range got {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("%g deg %v tap %d: shared %v, per-angle %v", theta, c.ear, k, got[k], want[k])
+				}
+			}
+			uses += len(c.set)
+		}
+	}
+	distinct := 0
+	for e := range aligned.ears {
+		for i, h := range aligned.ears[e] {
+			if h == nil {
+				continue
+			}
+			distinct++
+			if again := aligned.at(i, head.Ear(e)); &again[0] != &h[0] {
+				t.Fatalf("entry %d ear %d re-aligned on reuse", i, e)
+			}
+		}
+	}
+	if distinct == 0 || distinct >= uses {
+		t.Fatalf("%d distinct alignments for %d uses: arcs should share entries", distinct, uses)
+	}
+	t.Logf("%d arc uses served by %d alignments", uses, distinct)
+}
+
 func TestSynthesizedITDMatchesFarField(t *testing.T) {
 	// The key near/far difference is the interaural geometry. The
 	// synthesized far HRIR must reproduce the *far-field* ITD rather than
@@ -128,8 +218,8 @@ func TestContributingAnglesGeometry(t *testing.T) {
 		t.Fatalf("both ears should receive rays: left %d, right %d", len(left), len(right))
 	}
 	for _, wa := range append(append([]weightedAngle(nil), left...), right...) {
-		if wa.deg < 20 || wa.deg > 160 {
-			t.Errorf("contributing angle %g far from the source direction", wa.deg)
+		if deg := near.Angle(wa.idx); deg < 20 || deg > 160 {
+			t.Errorf("contributing angle %g far from the source direction", deg)
 		}
 		if wa.weight <= 0 || wa.weight > 1+1e-12 {
 			t.Errorf("weight %g out of (0,1]", wa.weight)
@@ -146,8 +236,8 @@ func TestContributingAnglesGeometry(t *testing.T) {
 		t.Errorf("frontal right-ear contributors %v should be empty for a left-hemisphere trajectory", right0)
 	}
 	for _, wa := range left0 {
-		if wa.deg > 95 {
-			t.Errorf("frontal left-ear contributor at %g deg", wa.deg)
+		if deg := near.Angle(wa.idx); deg > 95 {
+			t.Errorf("frontal left-ear contributor at %g deg", deg)
 		}
 	}
 }

@@ -184,8 +184,15 @@ func TestPersonalizeContextCancel(t *testing.T) {
 		t.Errorf("cancelled context should abort the pipeline, got %v", err)
 	}
 	// A deadline that expires mid-solve must abort too: the fusion search
-	// checks the context on every objective evaluation.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	// checks the context on every objective evaluation. The deadline is a
+	// quarter of an uncancelled solve's wall time, so it lands in channel
+	// estimation or fusion (well before the final, unchecked far-field
+	// stage) on any machine.
+	start := time.Now()
+	if _, err := PersonalizeContext(context.Background(), sessionInput(s), PipelineOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Since(start)/4)
 	defer cancel2()
 	_, err = PersonalizeContext(ctx2, sessionInput(s), PipelineOptions{})
 	if !errors.Is(err, context.DeadlineExceeded) {

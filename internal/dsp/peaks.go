@@ -95,10 +95,12 @@ func absInt(v int) int {
 }
 
 // FirstPeak returns the earliest local maximum of |x| with magnitude at
-// least minRel times the global maximum, refined to sub-sample precision by
-// parabolic interpolation. It returns the (possibly fractional) index and
-// the peak's signed value, or (-1, 0) if no peak qualifies. UNIQ uses the
-// first channel tap to measure the diffraction path (§4.1).
+// least minRel times the global maximum, refined to 1/64-sample precision
+// by maximizing the windowed-sinc (band-limited) interpolant of x around
+// it (see refinePeakSinc); a peak on the first or last sample is not
+// refined. It returns the (possibly fractional) index and the peak's
+// signed value, or (-1, 0) if no peak qualifies. UNIQ uses the first
+// channel tap to measure the diffraction path (§4.1).
 func FirstPeak(x []float64, minRel float64) (index float64, value float64) {
 	peaks := FindPeaks(x, minRel, 1)
 	if len(peaks) == 0 {
@@ -115,32 +117,58 @@ func FirstPeak(x []float64, minRel float64) (index float64, value float64) {
 	return idx, p.Value
 }
 
+// Sinc-refinement geometry: the interpolant is evaluated on a grid of
+// peakSteps+1 points spanning ±1 sample around the integer peak, summing
+// the 2*peakHalf+1 nearest samples under a Hann-tapered sinc kernel.
+const (
+	peakHalf  = 12
+	peakSteps = 128
+)
+
+// peakSinc and peakHann tabulate the two kernel factors of refinePeakSinc,
+// indexed [s+peakSteps/2][j-i0+peakHalf] for grid step s and tap j around
+// the integer peak i0. The offset between grid point and tap is
+// d = (i0 + 2s/peakSteps) - j = (i0-j) + s/64: a small integer plus a
+// multiple of 1/64, so it is computed exactly for every i0 and both
+// factors depend only on (i0-j, s). The tables therefore hold exactly the
+// float64 values the per-call sin/cos evaluation would produce, and
+// refinePeakSinc keeps the two factors as separate operands of
+// x[j]*k*w, so its result is bit-identical to evaluating them inline.
+var peakSinc, peakHann = peakKernel()
+
+func peakKernel() (sinc, hann [peakSteps + 1][2*peakHalf + 1]float64) {
+	for si := range sinc {
+		s := si - peakSteps/2
+		for ji := range sinc[si] {
+			d := float64(peakHalf-ji) + 2*float64(s)/peakSteps
+			if d == 0 {
+				sinc[si][ji] = 1
+			} else {
+				sinc[si][ji] = math.Sin(math.Pi*d) / (math.Pi * d)
+			}
+			hann[si][ji] = 0.5 * (1 + math.Cos(math.Pi*d/float64(peakHalf+1)))
+		}
+	}
+	return sinc, hann
+}
+
 // refinePeakSinc locates the magnitude maximum of the band-limited
 // interpolant of x within ±1 sample of the integer peak at i0, to 1/64
-// sample resolution.
+// sample resolution. Taps outside x are skipped.
 func refinePeakSinc(x []float64, i0 int) float64 {
-	const half = 12
-	const steps = 128 // over the ±1 sample span
+	lo, hi := max(i0-peakHalf, 0), min(i0+peakHalf, len(x)-1)
+	xs := x[lo : hi+1]
+	off := lo - i0 + peakHalf // kernel column of xs[0]
 	best, bestT := math.Abs(x[i0]), float64(i0)
-	for s := -steps / 2; s <= steps/2; s++ {
-		t := float64(i0) + 2*float64(s)/steps
+	for si := range peakSinc {
+		ks := peakSinc[si][off : off+len(xs)]
+		ws := peakHann[si][off : off+len(xs)]
 		v := 0.0
-		for j := i0 - half; j <= i0+half; j++ {
-			if j < 0 || j >= len(x) {
-				continue
-			}
-			d := t - float64(j)
-			var k float64
-			if d == 0 {
-				k = 1
-			} else {
-				k = math.Sin(math.Pi*d) / (math.Pi * d)
-			}
-			w := 0.5 * (1 + math.Cos(math.Pi*d/float64(half+1)))
-			v += x[j] * k * w
+		for j, xj := range xs {
+			v += xj * ks[j] * ws[j]
 		}
 		if a := math.Abs(v); a > best {
-			best, bestT = a, t
+			best, bestT = a, float64(i0)+2*float64(si-peakSteps/2)/peakSteps
 		}
 	}
 	return bestT
