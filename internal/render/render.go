@@ -4,11 +4,15 @@
 // with click-free crossfades, and an extension implementing §7's "room
 // multipath integration" — filtering with both a room impulse response and
 // the HRTF for plausible in-room externalization.
+//
+// Every renderer here is a whole-buffer wrapper over the streaming engine
+// (internal/stream), so all of them share its one fold rule: the table
+// spans the left hemisphere, and a right-hemisphere angle renders through
+// its mirror with the ears swapped.
 package render
 
 import (
 	"errors"
-	"math"
 
 	"repro/internal/hrtf"
 	"repro/internal/room"
@@ -30,8 +34,10 @@ var ErrNoTable = errors.New("render: renderer needs a populated table")
 
 // RenderMoving renders a mono source whose direction changes over time.
 // angleAt maps a time in seconds (from the start of the signal) to the
-// source's polar angle in degrees; angles are clamped/mirrored into the
-// table's span. The output has the length of the input plus the HRIR tail.
+// source's polar angle in degrees; any angle works — a right-hemisphere
+// angle (say 300°) renders through its left-hemisphere mirror (60°) with
+// the ears swapped, and angles past a narrow table's span clamp to its
+// edges. The output has the length of the input plus the HRIR tail.
 //
 // The whole-buffer path is a thin wrapper over the streaming engine
 // (stream.Convolver): the signal is pushed through in one go with angleAt
@@ -64,21 +70,10 @@ func (r *Renderer) RenderMoving(mono []float64, angleAt func(t float64) float64)
 	return left, right, nil
 }
 
-// mirrorIntoSpan folds an arbitrary angle into the table's tabulated span
-// ([0,180] for the standard left-hemisphere table): right-hemisphere
-// angles map to their mirror (callers handling true right-side sources
-// should swap channels; HeadTracker does). It is the streaming engine's
-// stream.FoldIntoSpan with the hemisphere flag dropped, so batch and
-// stream folds cannot diverge.
-func mirrorIntoSpan(angleDeg float64, t *hrtf.Table) float64 {
-	a, _ := stream.FoldIntoSpan(angleDeg, t)
-	return a
-}
-
 // HeadTracker renders a world-fixed source for a listener whose head yaw
 // changes over time (earphone IMU input): the relative angle is
-// recomputed per block and the channels swap when the source crosses to
-// the right hemisphere.
+// recomputed per block, and the engine swaps ears block by block when the
+// source crosses to the right hemisphere.
 type HeadTracker struct {
 	// Renderer does the block rendering.
 	Renderer Renderer
@@ -88,89 +83,13 @@ type HeadTracker struct {
 	YawAt func(t float64) float64
 }
 
-// Render produces the binaural stream for the tracked scene.
+// Render produces the binaural stream for the tracked scene: a moving
+// render at the head-relative angle SourceDeg − YawAt(t).
 func (ht *HeadTracker) Render(mono []float64) (left, right []float64, err error) {
 	if ht.YawAt == nil {
 		return nil, nil, errors.New("render: head tracker needs a yaw source")
 	}
-	rel := func(t float64) float64 { return ht.SourceDeg - ht.YawAt(t) }
-	// Render per hemisphere: blocks where the source is on the right use
-	// mirrored angles with swapped channels. We approximate by rendering
-	// with the mirrored angle track and swapping whole-signal when the
-	// source spends the majority of time on the right — block-accurate
-	// swapping happens inside by splitting the signal at crossings.
-	return ht.renderSwapAware(mono, rel)
-}
-
-func (ht *HeadTracker) renderSwapAware(mono []float64, rel func(t float64) float64) (left, right []float64, err error) {
-	sr := ht.Renderer.Table.SampleRate
-	block := ht.Renderer.BlockSize
-	if block <= 0 {
-		block = int(0.02 * sr)
-	}
-	// Split the input into maximal runs on one hemisphere, render each
-	// run, and mix with channel swapping where needed.
-	n := len(mono)
-	outLen := 0
-	var spans []struct {
-		start, end int
-		rightSide  bool
-	}
-	cur := 0
-	curSide := onRight(rel(0))
-	for i := block; i < n; i += block {
-		side := onRight(rel(float64(i) / sr))
-		if side != curSide {
-			spans = append(spans, struct {
-				start, end int
-				rightSide  bool
-			}{cur, i, curSide})
-			cur, curSide = i, side
-		}
-	}
-	spans = append(spans, struct {
-		start, end int
-		rightSide  bool
-	}{cur, n, curSide})
-
-	var outL, outR []float64
-	for _, sp := range spans {
-		seg := mono[sp.start:sp.end]
-		l, r, err := ht.Renderer.RenderMoving(seg, func(t float64) float64 {
-			return rel(t + float64(sp.start)/sr)
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if sp.rightSide {
-			l, r = r, l
-		}
-		if need := sp.start + len(l); need > outLen {
-			outLen = need
-		}
-		outL = growMix(outL, l, sp.start)
-		outR = growMix(outR, r, sp.start)
-	}
-	return outL, outR, nil
-}
-
-func onRight(relDeg float64) bool {
-	a := math.Mod(relDeg, 360)
-	if a < 0 {
-		a += 360
-	}
-	return a > 180
-}
-
-func growMix(dst, src []float64, offset int) []float64 {
-	need := offset + len(src)
-	if need > len(dst) {
-		dst = append(dst, make([]float64, need-len(dst))...)
-	}
-	for i, v := range src {
-		dst[offset+i] += v
-	}
-	return dst
+	return ht.Renderer.RenderMoving(mono, func(t float64) float64 { return ht.SourceDeg - ht.YawAt(t) })
 }
 
 // RoomRenderer implements §7's extension: render a source inside a room by

@@ -56,181 +56,54 @@ func startStream(w http.ResponseWriter, contentType string) *http.ResponseContro
 
 // handleStreamRender is POST /v1/stream/render/{user}: a live binaural
 // render session over chunked HTTP. The request body is a frame stream
-// (mono float32 audio and pose updates); the response is a frame stream of
-// interleaved stereo float32. Query parameter "source" places the
-// world-frame source bearing (degrees, default 90); query parameter
-// "scene" (URL-encoded SceneDesc JSON) upgrades the session to a
-// multi-source scene with room acoustics instead.
+// (mono float32 audio, pose updates, and the per-source 's'/'b'/'e'
+// frames); the response is a frame stream of interleaved stereo float32.
+// Every session is a stream.Scene: query parameter "source" places a
+// single free-field source at that world-frame bearing (degrees, default
+// 90), while query parameter "scene" (URL-encoded SceneDesc JSON) lays
+// out a multi-source scene with room acoustics instead. Metrics label the
+// two kind="render" and kind="scene".
 func (s *Service) handleStreamRender(w http.ResponseWriter, r *http.Request) {
 	markStreamErrorsClose(w)
 	p := s.profileFor(w, r.PathValue("user"))
 	if p == nil {
 		return
 	}
-	if sceneQ := r.URL.Query().Get("scene"); sceneQ != "" {
-		s.handleSceneRender(w, r, p, sceneQ)
-		return
-	}
-	source, ok := parseQueryFloat(w, r, "source", 90)
-	if !ok {
-		return
-	}
-	sess, err := stream.NewSession(p.Table, stream.SessionOptions{
-		SourceDeg: source,
-		// The query default resolves the bearing explicitly, so 0 means a
-		// true hard-side 0° source rather than "unset".
-		HasSource: true,
+	opt := stream.SceneOptions{
 		// The HTTP path backpressures through TCP, not through drops: the
 		// handler drains the engine after every chunk, so a generous
 		// pending bound is never reached.
 		Convolver: stream.ConvolverOptions{MaxPending: 1 << 15},
-	})
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "stream session: %v", err)
-		return
 	}
-	w.Header().Set("Uniq-Sample-Rate", strconv.FormatFloat(p.Table.SampleRate, 'g', -1, 64))
-	rc := startStream(w, "application/octet-stream")
-	done := s.metrics.streamStart("render")
-	defer func() {
-		st := sess.Stats()
-		s.metrics.addStreamDrops(st.OverrunSamples, st.UnderrunSamples)
-		done()
-	}()
-
-	var (
-		frameBuf []byte
-		mono     []float64
-		outL     = make([]float64, streamOutChunk)
-		outR     = make([]float64, streamOutChunk)
-		outBytes = make([]byte, 0, 8*streamOutChunk)
-	)
-	block := sess.BlockSize()
-	// drain writes every ready output sample as stereo frames; false when
-	// the client is gone.
-	drain := func() bool {
-		for {
-			n := min(sess.Available(), streamOutChunk)
-			if n == 0 {
-				return true
-			}
-			n = sess.ReadFrame(outL[:n], outR[:n])
-			outBytes = appendF32LEStereo(outBytes[:0], outL[:n], outR[:n])
-			if err := writeFrame(w, frameAudio, outBytes); err != nil {
-				return false
-			}
-			s.metrics.countStreamFrame("render", "out")
-		}
-	}
-	for {
-		typ, payload, err := readFrame(r.Body, frameBuf)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Mid-frame disconnect or protocol violation: the status line
-			// is long gone, so just stop.
+	kind := "render"
+	if sceneQ := r.URL.Query().Get("scene"); sceneQ != "" {
+		kind = "scene"
+		var desc SceneDesc
+		if err := json.Unmarshal([]byte(sceneQ), &desc); err != nil {
+			httpError(w, http.StatusBadRequest, "bad scene description: %v", err)
 			return
 		}
-		frameBuf = payload
-		start := time.Now()
-		switch typ {
-		case framePose:
-			yaw, err := decodeF64BE(payload)
-			if err != nil {
-				return
-			}
-			sess.SetPose(yaw)
-		case frameAudio:
-			if mono, err = decodeF32LE(mono, payload); err != nil {
-				return
-			}
-			// Feed block-sized chunks, draining between them, so the
-			// engine's bounded buffers never overflow however large the
-			// client's frames are.
-			for off := 0; off < len(mono); {
-				n := min(block, len(mono)-off)
-				sess.PushFrame(mono[off : off+n])
-				off += n
-				if !drain() {
-					return
-				}
-			}
-			_ = rc.Flush()
+		desc.apply(&opt)
+	} else {
+		source, ok := parseQueryFloat(w, r, "source", 90)
+		if !ok {
+			return
 		}
-		s.metrics.observeStreamFrame("render", time.Since(start).Seconds())
-	}
-	sess.Flush()
-	drain()
-	_ = rc.Flush()
-}
-
-// SceneDesc is the JSON scene description carried in the ?scene= query
-// parameter of POST /v1/stream/render/{user}. It is deliberately a thin
-// mirror of stream.SceneOptions so the wire shape stays stable if the
-// engine types grow.
-type SceneDesc struct {
-	// Room is optional; omitting it renders free-field (no reflections).
-	Room *SceneRoom `json:"room,omitempty"`
-	// Sources lays out the scene (at least one).
-	Sources []SceneSourceDesc `json:"sources"`
-}
-
-// SceneRoom mirrors room.Config.
-type SceneRoom struct {
-	Width      float64 `json:"width"`
-	Depth      float64 `json:"depth"`
-	OriginX    float64 `json:"originX"`
-	OriginY    float64 `json:"originY"`
-	Absorption float64 `json:"absorption"`
-	MaxOrder   int     `json:"maxOrder"`
-}
-
-// SceneSourceDesc mirrors stream.SceneSource.
-type SceneSourceDesc struct {
-	BearingDeg float64 `json:"bearingDeg"`
-	Distance   float64 `json:"distance,omitempty"`
-	Gain       float64 `json:"gain,omitempty"`
-}
-
-// handleSceneRender runs a multi-source scene session on the render
-// endpoint. Same framing as the single-source path plus the per-source
-// 's'/'b'/'e' frames; the response stream is identical (mixed stereo 'a'
-// frames), so existing receive loops work unchanged.
-func (s *Service) handleSceneRender(w http.ResponseWriter, r *http.Request, p *StoredProfile, sceneQ string) {
-	var desc SceneDesc
-	if err := json.Unmarshal([]byte(sceneQ), &desc); err != nil {
-		httpError(w, http.StatusBadRequest, "bad scene description: %v", err)
-		return
-	}
-	opt := stream.SceneOptions{
-		// Generous for the same reason as the single-source path: TCP is
-		// the backpressure, not drops.
-		Convolver: stream.ConvolverOptions{MaxPending: 1 << 15},
-	}
-	if desc.Room != nil {
-		opt.Room = room.Config{
-			Width: desc.Room.Width, Depth: desc.Room.Depth,
-			Origin:     geom.Vec{X: desc.Room.OriginX, Y: desc.Room.OriginY},
-			Absorption: desc.Room.Absorption,
-			MaxOrder:   desc.Room.MaxOrder,
-		}
-	}
-	for _, src := range desc.Sources {
-		opt.Sources = append(opt.Sources, stream.SceneSource{
-			BearingDeg: src.BearingDeg,
-			Distance:   src.Distance,
-			Gain:       src.Gain,
-		})
+		opt.Sources = []stream.SceneSource{{BearingDeg: source}}
 	}
 	sc, err := stream.NewScene(p.Table, opt)
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "scene session: %v", err)
+		httpError(w, http.StatusUnprocessableEntity, "%s session: %v", kind, err)
 		return
 	}
 	w.Header().Set("Uniq-Sample-Rate", strconv.FormatFloat(p.Table.SampleRate, 'g', -1, 64))
 	rc := startStream(w, "application/octet-stream")
-	done := s.metrics.sceneStart(sc.NumSources())
+	var done func()
+	if kind == "scene" {
+		done = s.metrics.sceneStart(sc.NumSources())
+	} else {
+		done = s.metrics.streamStart(kind)
+	}
 	defer func() {
 		st := sc.Stats()
 		s.metrics.addStreamDrops(st.OverrunSamples, st.UnderrunSamples)
@@ -245,6 +118,8 @@ func (s *Service) handleSceneRender(w http.ResponseWriter, r *http.Request, p *S
 		outBytes = make([]byte, 0, 8*streamOutChunk)
 	)
 	block := sc.BlockSize()
+	// drain writes every ready output sample as stereo frames; false when
+	// the client is gone.
 	drain := func() bool {
 		for {
 			n := min(sc.Available(), streamOutChunk)
@@ -256,11 +131,13 @@ func (s *Service) handleSceneRender(w http.ResponseWriter, r *http.Request, p *S
 			if err := writeFrame(w, frameAudio, outBytes); err != nil {
 				return false
 			}
-			s.metrics.countStreamFrame("scene", "out")
+			s.metrics.countStreamFrame(kind, "out")
 		}
 	}
 	// feed pushes one source's mono chunk block-by-block, draining mixed
-	// output between blocks; false when the client is gone.
+	// output between blocks so the engine's bounded buffers never overflow
+	// however large the client's frames are; false when the client is
+	// gone.
 	feed := func(idx int, mono []float64) bool {
 		for off := 0; off < len(mono); {
 			n := min(block, len(mono)-off)
@@ -280,6 +157,8 @@ func (s *Service) handleSceneRender(w http.ResponseWriter, r *http.Request, p *S
 			break
 		}
 		if err != nil {
+			// Mid-frame disconnect or protocol violation: the status line
+			// is long gone, so just stop.
 			return
 		}
 		frameBuf = payload
@@ -292,8 +171,8 @@ func (s *Service) handleSceneRender(w http.ResponseWriter, r *http.Request, p *S
 			}
 			sc.SetPose(yaw)
 		case frameAudio:
-			// Single-source clients keep working against scene sessions:
-			// a plain audio frame feeds source 0.
+			// A plain audio frame feeds source 0, so single-source clients
+			// work unchanged against scene sessions.
 			if mono, err = decodeF32LE(mono, payload); err != nil {
 				return
 			}
@@ -340,11 +219,58 @@ func (s *Service) handleSceneRender(w http.ResponseWriter, r *http.Request, p *S
 			}
 			_ = rc.Flush()
 		}
-		s.metrics.observeStreamFrame("scene", time.Since(start).Seconds())
+		s.metrics.observeStreamFrame(kind, time.Since(start).Seconds())
 	}
 	sc.Flush()
 	drain()
 	_ = rc.Flush()
+}
+
+// SceneDesc is the JSON scene description carried in the ?scene= query
+// parameter of POST /v1/stream/render/{user}. It is deliberately a thin
+// mirror of stream.SceneOptions so the wire shape stays stable if the
+// engine types grow.
+type SceneDesc struct {
+	// Room is optional; omitting it renders free-field (no reflections).
+	Room *SceneRoom `json:"room,omitempty"`
+	// Sources lays out the scene (at least one).
+	Sources []SceneSourceDesc `json:"sources"`
+}
+
+// SceneRoom mirrors room.Config.
+type SceneRoom struct {
+	Width      float64 `json:"width"`
+	Depth      float64 `json:"depth"`
+	OriginX    float64 `json:"originX"`
+	OriginY    float64 `json:"originY"`
+	Absorption float64 `json:"absorption"`
+	MaxOrder   int     `json:"maxOrder"`
+}
+
+// SceneSourceDesc mirrors stream.SceneSource.
+type SceneSourceDesc struct {
+	BearingDeg float64 `json:"bearingDeg"`
+	Distance   float64 `json:"distance,omitempty"`
+	Gain       float64 `json:"gain,omitempty"`
+}
+
+// apply copies the described room and sources into the engine options.
+func (d *SceneDesc) apply(opt *stream.SceneOptions) {
+	if d.Room != nil {
+		opt.Room = room.Config{
+			Width: d.Room.Width, Depth: d.Room.Depth,
+			Origin:     geom.Vec{X: d.Room.OriginX, Y: d.Room.OriginY},
+			Absorption: d.Room.Absorption,
+			MaxOrder:   d.Room.MaxOrder,
+		}
+	}
+	for _, src := range d.Sources {
+		opt.Sources = append(opt.Sources, stream.SceneSource{
+			BearingDeg: src.BearingDeg,
+			Distance:   src.Distance,
+			Gain:       src.Gain,
+		})
+	}
 }
 
 // handleStreamAoA is POST /v1/stream/aoa/{user}: live angle-of-arrival

@@ -70,7 +70,70 @@ func TestStreamRenderEndpointMatchesBatch(t *testing.T) {
 
 	// Streaming: source at 75° world frame, head yawed 15° — the session
 	// renders at the same relative 60°, exercising the pose frame type.
-	st, err := client.StreamRender(ctx, "vol1", 75)
+	gotL, gotR := streamRenderAll(ctx, t, client, 75, mono,
+		func(st *RenderStream) error { return st.SendPose(15) })
+
+	if len(gotL) != len(batch.Left) || len(gotR) != len(batch.Right) {
+		t.Fatalf("stream lengths %d/%d, batch %d/%d",
+			len(gotL), len(gotR), len(batch.Left), len(batch.Right))
+	}
+	maxDiff := 0.0
+	for i := range gotL {
+		maxDiff = math.Max(maxDiff, math.Abs(gotL[i]-batch.Left[i]))
+		maxDiff = math.Max(maxDiff, math.Abs(gotR[i]-batch.Right[i]))
+	}
+	// The engines are bit-identical; the float32 response encoding is the
+	// only difference.
+	if maxDiff > 1e-5 {
+		t.Errorf("stream vs batch render max diff %g, want < 1e-5", maxDiff)
+	}
+}
+
+// TestStreamRenderRightHemisphereSwapsEars is the wire-level regression
+// test for the dropped ear swap: a source at 300° is the 60° source
+// mirrored, so it must arrive as the 60° stream with the channels
+// exchanged, sample for sample. A plain session also takes the
+// per-source 'b' frame for source 0: opened at 60° and moved to 300°
+// before any audio, it must stream exactly the 300° session.
+func TestStreamRenderRightHemisphereSwapsEars(t *testing.T) {
+	_, client := newStreamTestServer(t)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	mono := quantizeF32(dsp.WhiteNoise(4800, rand.New(rand.NewSource(9))))
+
+	l60, r60 := streamRenderAll(ctx, t, client, 60, mono, nil)
+	l300, r300 := streamRenderAll(ctx, t, client, 300, mono, nil)
+	lMoved, rMoved := streamRenderAll(ctx, t, client, 60, mono, func(st *RenderStream) error {
+		return writeFrame(st.pw, frameBearing, append(appendU16BE(nil, 0), encodeF64BE(300)...))
+	})
+	for i := range lMoved {
+		if lMoved[i] != l300[i] || rMoved[i] != r300[i] {
+			t.Fatalf("sample %d: 'b'-moved stream (%g,%g), 300° stream (%g,%g)",
+				i, lMoved[i], rMoved[i], l300[i], r300[i])
+		}
+	}
+	if len(l60) != len(l300) || len(r60) != len(r300) {
+		t.Fatalf("stream lengths %d/%d vs %d/%d", len(l60), len(r60), len(l300), len(r300))
+	}
+	asym := false
+	for i := range l60 {
+		if l300[i] != r60[i] || r300[i] != l60[i] {
+			t.Fatalf("sample %d: 300° stream (%g,%g), want swapped 60° (%g,%g)",
+				i, l300[i], r300[i], r60[i], l60[i])
+		}
+		asym = asym || l60[i] != r60[i]
+	}
+	if !asym {
+		t.Fatal("60° stream has identical ears; the swap check is vacuous")
+	}
+}
+
+// streamRenderAll runs one plain render session: the source at a
+// world-frame bearing, setup's frames (if any) sent first, mono sent in
+// 1024-sample frames, and everything the server streams back collected.
+func streamRenderAll(ctx context.Context, t *testing.T, client *Client, source float64, mono []float64, setup func(*RenderStream) error) (gotL, gotR []float64) {
+	t.Helper()
+	st, err := client.StreamRender(ctx, "vol1", source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +141,6 @@ func TestStreamRenderEndpointMatchesBatch(t *testing.T) {
 	if sr, err := st.SampleRate(); err != nil || sr != 48000 {
 		t.Fatalf("announced sample rate %v (err %v), want 48000", sr, err)
 	}
-
-	var gotL, gotR []float64
 	recvDone := make(chan error, 1)
 	go func() {
 		for {
@@ -96,13 +157,14 @@ func TestStreamRenderEndpointMatchesBatch(t *testing.T) {
 			gotR = append(gotR, r...)
 		}
 	}()
-	if err := st.SendPose(15); err != nil {
-		t.Fatal(err)
+	if setup != nil {
+		if err := setup(st); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const chunk = 1024
 	for off := 0; off < len(mono); off += chunk {
-		end := min(off+chunk, len(mono))
-		if err := st.SendAudio(mono[off:end]); err != nil {
+		if err := st.SendAudio(mono[off:min(off+chunk, len(mono))]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,21 +174,7 @@ func TestStreamRenderEndpointMatchesBatch(t *testing.T) {
 	if err := <-recvDone; err != nil {
 		t.Fatal(err)
 	}
-
-	if len(gotL) != len(batch.Left) || len(gotR) != len(batch.Right) {
-		t.Fatalf("stream lengths %d/%d, batch %d/%d",
-			len(gotL), len(gotR), len(batch.Left), len(batch.Right))
-	}
-	maxDiff := 0.0
-	for i := range gotL {
-		maxDiff = math.Max(maxDiff, math.Abs(gotL[i]-batch.Left[i]))
-		maxDiff = math.Max(maxDiff, math.Abs(gotR[i]-batch.Right[i]))
-	}
-	// The engines are bit-identical; the float32 response encoding is the
-	// only difference.
-	if maxDiff > 1e-5 {
-		t.Errorf("stream vs batch render max diff %g, want < 1e-5", maxDiff)
-	}
+	return gotL, gotR
 }
 
 func TestStreamSceneEndpointMatchesRoomRenderer(t *testing.T) {

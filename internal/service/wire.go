@@ -20,9 +20,10 @@ import (
 //	'p' — pose: one float64 big-endian, the head yaw in degrees
 //	      (render requests only).
 //
-// Scene sessions (render requests opened with a ?scene= description) add
-// three per-source frame types, each prefixed with a 2-byte big-endian
-// source index:
+// Render requests also take three per-source frame types, each prefixed
+// with a 2-byte big-endian source index. They address the sources of a
+// ?scene= session; a plain ?source= session is a one-source scene, so
+// there they address source 0:
 //
 //	's' — scene audio: [2 bytes index][float32 LE mono samples].
 //	'b' — bearing:     [2 bytes index][float64 BE degrees], moves that
@@ -30,14 +31,13 @@ import (
 //	'e' — end:         [2 bytes index], no payload beyond the index;
 //	      flushes that source while the rest keep streaming.
 //
-// On a scene session 'a' frames keep their single-source meaning as audio
-// for source 0 and 'p' frames steer the shared listener yaw, so
-// single-source clients work unchanged against scene sessions. Unknown
-// frame types are skipped by the server (forward compatibility), which is
-// also why scene frames relay through older gateways untouched. AoA
-// responses are not framed: they are newline-delimited JSON
-// (stream.AngleEvent per line), which terminal tooling can consume
-// directly.
+// 'a' frames are always audio for source 0 and 'p' frames steer the
+// shared listener yaw, so single-source clients work unchanged against
+// scene sessions. Unknown frame types are skipped by the server (forward
+// compatibility), which is also why scene frames relay through older
+// gateways untouched. AoA responses are not framed: they are
+// newline-delimited JSON (stream.AngleEvent per line), which terminal
+// tooling can consume directly.
 const (
 	frameAudio      byte = 'a'
 	framePose       byte = 'p'

@@ -70,6 +70,14 @@ func FoldIntoSpan(angleDeg float64, t *hrtf.Table) (deg float64, swapEars bool) 
 	return a, swapEars
 }
 
+// foldedArrival is the unit-gain, zero-delay arrival from an arbitrary
+// angle: folded into the table span, ears swapped when the fold crossed
+// hemispheres.
+func foldedArrival(deg float64, t *hrtf.Table) Arrival {
+	a, swap := FoldIntoSpan(deg, t)
+	return Arrival{AngleDeg: a, Gain: 1, SwapEars: swap}
+}
+
 // Convolver renders a mono stream into binaural audio one chunk at a time:
 // block overlap-add convolution against per-angle far-field HRIR spectra.
 // For the common short-IR case the spectra are the ones cached on the
@@ -80,7 +88,8 @@ func FoldIntoSpan(angleDeg float64, t *hrtf.Table) (deg float64, swapEars bool) 
 // allocations — scratch buffers are preallocated and FFTs run through the
 // dsp plan cache.
 //
-// A Convolver is single-goroutine; Session adds locking and pose state.
+// A Convolver is single-goroutine; Scene (and Session, its one-source
+// form) adds locking, pose state and accounting.
 type Convolver struct {
 	table   *hrtf.Table
 	sr      float64
@@ -127,7 +136,7 @@ type Convolver struct {
 	// per-block FFT scratch, shareable across co-resident convolvers.
 	ws *workspace
 
-	// Counters (read through Stats by Session).
+	// Counters (read through Stats by Scene).
 	blocks   uint64 // blocks processed
 	overruns uint64 // input samples dropped at the pending bound
 }
@@ -196,7 +205,7 @@ func newConvolver(t *hrtf.Table, opt ConvolverOptions, ws *workspace) (*Convolve
 		maxDelay: max(opt.DelayHeadroom, 0),
 		pos:      -block / 2,
 	}
-	c.one[0] = Arrival{AngleDeg: foldIntoSpan(90, t), Gain: 1}
+	c.one[0] = foldedArrival(90, t)
 	c.arrivals = c.one[:]
 	// Transform length: at least double the block so a partition is never
 	// shorter than the block itself, stretched further while the whole IR
@@ -298,14 +307,13 @@ func (c *Convolver) SetTable(t *hrtf.Table) error {
 	return nil
 }
 
-// SetAngle fixes the source angle (degrees, folded into the table span)
-// used for blocks formed from now on. It overrides any AngleFunc or
-// arrival set. This is the classic single-path free-field mode: one
-// unit-gain, zero-delay arrival with no ear swap (Session folds and swaps
-// segments itself for hemisphere crossings).
+// SetAngle fixes the source angle (degrees) used for blocks formed from
+// now on. It overrides any AngleFunc or arrival set. This is the classic
+// single-path free-field mode: one unit-gain, zero-delay arrival, folded
+// into the table span with the ears swapped for right-hemisphere angles.
 func (c *Convolver) SetAngle(deg float64) {
 	c.angleAt = nil
-	c.one[0] = Arrival{AngleDeg: foldIntoSpan(deg, c.table), Gain: 1}
+	c.one[0] = foldedArrival(deg, c.table)
 	c.arrivals = c.one[:]
 }
 
@@ -342,8 +350,9 @@ func (c *Convolver) SetArrivals(arr []Arrival) error {
 
 // SetAngleFunc installs a per-block angle source: fn is called with the
 // block-center time (seconds from the start of the stream) as each block is
-// formed. The returned angle is folded into the table span. This is how the
-// batch renderer drives the engine.
+// formed. The returned angle folds like SetAngle's, so a source crossing
+// hemispheres swaps ears block by block under the Bartlett crossfade. This
+// is how the batch renderer drives the engine.
 func (c *Convolver) SetAngleFunc(fn func(tSec float64) float64) { c.angleAt = fn }
 
 // BlockSize returns the crossfade block length in samples.
@@ -494,7 +503,7 @@ func (c *Convolver) processBlock() {
 	arrivals := c.arrivals
 	if c.angleAt != nil {
 		tCenter := (float64(c.pos) + float64(c.block)/2) / c.sr
-		c.one[0] = Arrival{AngleDeg: foldIntoSpan(c.angleAt(tCenter), c.table), Gain: 1}
+		c.one[0] = foldedArrival(c.angleAt(tCenter), c.table)
 		arrivals = c.one[:]
 	}
 
@@ -593,12 +602,4 @@ func bartlettWindow(n int) []float64 {
 		}
 	}
 	return w
-}
-
-// foldIntoSpan folds an arbitrary angle into the table's tabulated span,
-// discarding the hemisphere flag (callers handling true right-side sources
-// swap ears themselves; Session does).
-func foldIntoSpan(angleDeg float64, t *hrtf.Table) float64 {
-	a, _ := FoldIntoSpan(angleDeg, t)
-	return a
 }

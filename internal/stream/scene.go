@@ -206,13 +206,9 @@ func (sc *Scene) recomputeGeo(s *sceneSource) {
 func (sc *Scene) applyPose(s *sceneSource) {
 	s.arr = s.arr[:0]
 	for _, g := range s.geo {
-		deg, swap := FoldIntoSpan(g.worldDeg-sc.yaw, sc.table)
-		s.arr = append(s.arr, Arrival{
-			AngleDeg:     deg,
-			Gain:         g.gain,
-			DelaySamples: g.delay,
-			SwapEars:     swap,
-		})
+		a := foldedArrival(g.worldDeg-sc.yaw, sc.table)
+		a.Gain, a.DelaySamples = g.gain, g.delay
+		s.arr = append(s.arr, a)
 	}
 	// Delays are bounded by the construction-time headroom, so this
 	// cannot fail.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dsp"
+	"repro/internal/hrtf"
 	"repro/internal/render"
 	"repro/internal/room"
 	"repro/internal/stream"
@@ -397,7 +398,9 @@ func TestSessionZeroSourceDegSticks(t *testing.T) {
 			t.Fatal(err)
 		}
 		if setSource != nil {
-			s.SetSource(*setSource)
+			if err := s.SetBearing(0, *setSource); err != nil {
+				t.Fatal(err)
+			}
 		}
 		s.PushFrame(mono)
 		s.Flush()
@@ -416,15 +419,15 @@ func TestSessionZeroSourceDegSticks(t *testing.T) {
 
 	zero := 0.0
 	hardSide, _ := renderWith(stream.SessionOptions{SourceDeg: 0, HasSource: true}, nil)
-	explicitZero, _ := renderWith(stream.SessionOptions{}, &zero) // SetSource(0) reference
+	explicitZero, _ := renderWith(stream.SessionOptions{}, &zero) // SetBearing(0, 0) reference
 	defaulted, _ := renderWith(stream.SessionOptions{}, nil)
 	explicit90, _ := renderWith(stream.SessionOptions{SourceDeg: 90}, nil)
 
 	// Pre-fix, SourceDeg 0 silently became 90: hardSide would equal
-	// defaulted. Post-fix it must match an explicit SetSource(0).
+	// defaulted. Post-fix it must match an explicit SetBearing(0, 0).
 	for i := range hardSide {
 		if hardSide[i] != explicitZero[i] {
-			t.Fatalf("sample %d: HasSource 0° differs from SetSource(0)", i)
+			t.Fatalf("sample %d: HasSource 0° differs from SetBearing(0, 0)", i)
 		}
 	}
 	same := true
@@ -471,25 +474,36 @@ func TestConvolverPendingBound(t *testing.T) {
 	}
 }
 
-// TestFoldIntoSpan pins the exported fold: angle mapping plus the
-// hemisphere (ear-swap) flag.
+// TestFoldIntoSpan pins the one fold rule every render path uses: angle
+// mapping plus the hemisphere (ear-swap) flag, including clamps into a
+// table narrower than the hemisphere.
 func TestFoldIntoSpan(t *testing.T) {
 	tab := testTable(t)
+	narrow := hrtf.NewTable(48000, 20, 10, 5) // spans [20, 60]
 	cases := []struct {
+		table    *hrtf.Table
 		in, want float64
 		swap     bool
 	}{
-		{10, 10, false}, {190, 170, true}, {350, 10, true},
-		{-30, 30, true}, {370, 10, false},
-		{0, 0, false}, {180, 180, false}, {360, 0, false},
-		{-360, 0, false}, {540, 180, false}, {-180, 180, false},
-		{180.5, 179.5, true}, {-0.5, 0.5, true}, {359.5, 0.5, true},
+		// Interior and mirrored angles.
+		{tab, 10, 10, false}, {tab, 190, 170, true}, {tab, 350, 10, true},
+		{tab, -30, 30, true}, {tab, 370, 10, false},
+		// Span edges, exactly: 0 and 180 map to themselves, as do their
+		// full-turn aliases.
+		{tab, 0, 0, false}, {tab, 180, 180, false}, {tab, 360, 0, false},
+		{tab, -360, 0, false}, {tab, 540, 180, false}, {tab, -180, 180, false},
+		// Just past an edge: mirrors back inside, never out of span.
+		{tab, 180.5, 179.5, true}, {tab, -0.5, 0.5, true}, {tab, 359.5, 0.5, true},
+		// Angles outside a narrower table's span clamp to its edges; the
+		// hemisphere flag still follows the fold.
+		{narrow, 5, 20, false}, {narrow, 20, 20, false}, {narrow, 60, 60, false},
+		{narrow, 170, 60, false}, {narrow, 355, 20, true},
 	}
 	for _, tc := range cases {
-		got, swap := stream.FoldIntoSpan(tc.in, tab)
+		got, swap := stream.FoldIntoSpan(tc.in, tc.table)
 		if gotDiff := got - tc.want; gotDiff > 1e-9 || gotDiff < -1e-9 || swap != tc.swap {
-			t.Errorf("FoldIntoSpan(%g) = (%g, %v), want (%g, %v)",
-				tc.in, got, swap, tc.want, tc.swap)
+			t.Errorf("FoldIntoSpan(%g) over [%g, %g] = (%g, %v), want (%g, %v)",
+				tc.in, tc.table.MinAngle, tc.table.MaxAngle(), got, swap, tc.want, tc.swap)
 		}
 	}
 }

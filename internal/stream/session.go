@@ -1,10 +1,6 @@
 package stream
 
-import (
-	"sync"
-
-	"repro/internal/hrtf"
-)
+import "repro/internal/hrtf"
 
 // SessionOptions tunes a streaming render session.
 type SessionOptions struct {
@@ -41,149 +37,42 @@ type SessionStats struct {
 	Drained bool `json:"drained"`
 }
 
-// Session is the concurrency-safe façade over a streaming render engine:
-// it owns the Convolver's bounded buffers, tracks head pose (the rendered
-// angle is the world-frame source bearing minus the head yaw, folded into
-// the table span — the paper's symmetric-head mirror convention), and
-// accounts for backpressure explicitly: pushes beyond the pending bound
-// are dropped and counted as overruns, reads ahead of the render are
-// counted as underruns. Producers and consumers may run on different
-// goroutines.
-type Session struct {
-	mu   sync.Mutex
-	conv *Convolver
-
-	sourceDeg float64
-	yawDeg    float64
-
-	framesIn, framesOut   uint64
-	samplesIn, samplesOut uint64
-	underruns             uint64
-	flushed               bool
-}
+// Session is the single-source stream: a one-source free-field Scene
+// whose source 0 sits at SessionOptions.SourceDeg. The rendered angle is
+// the world-frame bearing minus the head yaw (SetPose), folded into the
+// table span with the ears swapped for right-hemisphere angles — the
+// paper's symmetric-head mirror convention. Backpressure, locking and
+// accounting are the Scene's: pushes beyond the pending bound are dropped
+// and counted as overruns, reads ahead of the render count as underruns,
+// and producers and consumers may run on different goroutines.
+// SetBearing(0, deg) moves the source.
+type Session struct{ *Scene }
 
 // NewSession opens a streaming session over a personalization table.
 func NewSession(t *hrtf.Table, opt SessionOptions) (*Session, error) {
-	conv, err := NewConvolver(t, opt.Convolver)
-	if err != nil {
-		return nil, err
-	}
 	source := opt.SourceDeg
 	if source == 0 && !opt.HasSource {
 		// Zero value means "unset": keep the 90° straight-ahead default.
 		// Callers that really want a 0° bearing set HasSource.
 		source = 90
 	}
-	s := &Session{conv: conv, sourceDeg: source}
-	conv.SetAngle(s.sourceDeg - s.yawDeg)
-	return s, nil
-}
-
-// BlockSize returns the engine's crossfade block length in samples.
-func (s *Session) BlockSize() int { return s.conv.BlockSize() }
-
-// TailLen returns the convolution tail appended after the input ends.
-func (s *Session) TailLen() int { return s.conv.TailLen() }
-
-// SetPose updates the listener's head yaw (degrees). Blocks rendered from
-// now on use the new relative angle; the Bartlett overlap crossfades the
-// turn click-free.
-func (s *Session) SetPose(yawDeg float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.yawDeg = yawDeg
-	s.conv.SetAngle(s.sourceDeg - s.yawDeg)
-}
-
-// SetSource moves the world-frame source bearing (degrees).
-func (s *Session) SetSource(deg float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sourceDeg = deg
-	s.conv.SetAngle(s.sourceDeg - s.yawDeg)
-}
-
-// SetTable hot-swaps the personalization profile mid-stream (see
-// Convolver.SetTable for the compatibility rules).
-func (s *Session) SetTable(t *hrtf.Table) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.conv.SetTable(t)
+	sc, err := NewScene(t, SceneOptions{
+		Convolver: opt.Convolver,
+		Sources:   []SceneSource{{BearingDeg: source}},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Session{sc}, nil
 }
 
 // PushFrame feeds one mono input frame, returning how many samples were
 // accepted; the rest were dropped at the pending bound (counted in
 // OverrunSamples).
 func (s *Session) PushFrame(mono []float64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.flushed || len(mono) == 0 {
-		return 0
-	}
-	n := s.conv.Push(mono)
-	s.framesIn++
-	s.samplesIn += uint64(n)
+	n, _ := s.Scene.PushFrame(0, mono) // source 0 always exists
 	return n
-}
-
-// ReadFrame fills l and r with up to min(len(l), len(r)) rendered samples
-// and returns how many were written. A short read while input is still
-// expected counts the shortfall as underrun samples.
-func (s *Session) ReadFrame(l, r []float64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	want := min(len(l), len(r))
-	n := s.conv.Read(l, r)
-	if n > 0 {
-		s.framesOut++
-		s.samplesOut += uint64(n)
-	}
-	if short := want - n; short > 0 && !s.drainedLocked() {
-		s.underruns += uint64(short)
-	}
-	return n
-}
-
-// Available returns how many rendered samples ReadFrame can deliver now.
-func (s *Session) Available() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.conv.Available()
-}
-
-// Flush declares the end of input; the remaining tail becomes readable.
-func (s *Session) Flush() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flushed = true
-	s.conv.Flush()
-}
-
-// Drained reports whether the stream has ended and every rendered sample
-// has been read.
-func (s *Session) Drained() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.drainedLocked()
-}
-
-func (s *Session) drainedLocked() bool {
-	return s.flushed && s.conv.Available() == 0
 }
 
 // Stats snapshots the session's accounting.
-func (s *Session) Stats() SessionStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return SessionStats{
-		FramesIn:        s.framesIn,
-		FramesOut:       s.framesOut,
-		SamplesIn:       s.samplesIn,
-		SamplesOut:      s.samplesOut,
-		OverrunSamples:  s.conv.Overruns(),
-		UnderrunSamples: s.underruns,
-		Blocks:          s.conv.Blocks(),
-		Flushed:         s.flushed,
-		Drained:         s.drainedLocked(),
-	}
-}
+func (s *Session) Stats() SessionStats { return s.Scene.Stats().SessionStats }

@@ -97,6 +97,74 @@ func TestStreamMatchesBatchBitExact(t *testing.T) {
 	if st.OverrunSamples != 0 {
 		t.Errorf("unexpected overruns: %d", st.OverrunSamples)
 	}
+
+	// Right hemisphere: 300° is the mirror of 60°, so the session and the
+	// batch renderer must both play the 60° render with the ears swapped,
+	// bit for bit (not the 60° render itself, which puts a right-side
+	// source in the left ear).
+	static := func(deg float64) func(float64) float64 { return func(float64) float64 { return deg } }
+	l60, r60 := sessionRender(t, tab, 60, mono)
+	l300, r300 := sessionRender(t, tab, 300, mono)
+	assertEarsSwapped(t, "session 300° vs 60°", l60, r60, l300, r300)
+	bl60, br60, err := r.RenderMoving(mono, static(60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bl300, br300, err := r.RenderMoving(mono, static(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertEarsSwapped(t, "RenderMoving 300° vs 60°", bl60, br60, bl300, br300)
+	for i := range l300 {
+		if l300[i] != bl300[i] || r300[i] != br300[i] {
+			t.Fatalf("300° sample %d differs: stream (%g,%g) batch (%g,%g)",
+				i, l300[i], r300[i], bl300[i], br300[i])
+		}
+	}
+}
+
+// sessionRender streams mono through a fresh Session at a fixed bearing
+// on TestStreamMatchesBatchBitExact's irregular frame schedule.
+func sessionRender(t *testing.T, tab *hrtf.Table, deg float64, mono []float64) (l, r []float64) {
+	t.Helper()
+	s, err := stream.NewSession(tab, stream.SessionOptions{SourceDeg: deg, HasSource: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufL, bufR := make([]float64, 1024), make([]float64, 1024)
+	drain := func() {
+		for n := s.ReadFrame(bufL, bufR); n > 0; n = s.ReadFrame(bufL, bufR) {
+			l, r = append(l, bufL[:n]...), append(r, bufR[:n]...)
+		}
+	}
+	for off, i := 0, 0; off < len(mono); i++ {
+		n := min(37+257*(i%7), len(mono)-off)
+		s.PushFrame(mono[off : off+n])
+		off += n
+		drain()
+	}
+	s.Flush()
+	drain()
+	return l, r
+}
+
+// assertEarsSwapped checks bit for bit that (l2, r2) is (l1, r1) with the
+// channels exchanged, and that the pair is not trivially symmetric.
+func assertEarsSwapped(t *testing.T, what string, l1, r1, l2, r2 []float64) {
+	t.Helper()
+	if len(l1) != len(l2) || len(r1) != len(r2) {
+		t.Fatalf("%s: lengths %d/%d vs %d/%d", what, len(l1), len(r1), len(l2), len(r2))
+	}
+	asym := false
+	for i := range l1 {
+		if l2[i] != r1[i] || r2[i] != l1[i] {
+			t.Fatalf("%s: sample %d is (%g,%g), want swapped (%g,%g)", what, i, l2[i], r2[i], r1[i], l1[i])
+		}
+		asym = asym || l1[i] != r1[i]
+	}
+	if !asym {
+		t.Fatalf("%s: identical ears, the swap check is vacuous", what)
+	}
 }
 
 // TestConvolverMovingMatchesBatch repeats the equivalence with a moving
@@ -196,32 +264,59 @@ func TestConvolverPartitionedLongIR(t *testing.T) {
 	}
 }
 
-// TestConvolverZeroAllocSteadyState pins the hot-path allocation budget.
+// TestConvolverZeroAllocSteadyState pins the hot-path allocation budget:
+// a bare convolver, and a Session re-posed every cycle at a
+// right-hemisphere bearing (refold, ear swap, scene lock and mix).
 func TestConvolverZeroAllocSteadyState(t *testing.T) {
 	tab := testTable(t)
-	c, err := stream.NewConvolver(tab, stream.ConvolverOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetAngle(60)
-	hop := c.BlockSize() / 2
-	in := make([]float64, hop)
-	for i := range in {
-		in[i] = math.Sin(float64(i) * 0.01)
-	}
-	outL := make([]float64, hop)
-	outR := make([]float64, hop)
-	// Prime: fill the pipeline and warm the FFT scratch pools.
-	for i := 0; i < 8; i++ {
-		c.Push(in)
-		c.Read(outL, outR)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		c.Push(in)
-		c.Read(outL, outR)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Push+Read allocates %.1f times per cycle, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		// open returns the engine's block size and one Push+Read cycle.
+		open func(t *testing.T) (block int, cycle func(in, outL, outR []float64))
+	}{
+		{"convolver", func(t *testing.T) (int, func(in, outL, outR []float64)) {
+			c, err := stream.NewConvolver(tab, stream.ConvolverOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.SetAngle(60)
+			return c.BlockSize(), func(in, outL, outR []float64) {
+				c.Push(in)
+				c.Read(outL, outR)
+			}
+		}},
+		{"session-pose-right", func(t *testing.T) (int, func(in, outL, outR []float64)) {
+			s, err := stream.NewSession(tab, stream.SessionOptions{SourceDeg: 300})
+			if err != nil {
+				t.Fatal(err)
+			}
+			yaw := 0.0
+			return s.BlockSize(), func(in, outL, outR []float64) {
+				yaw = math.Mod(yaw+7, 40) // relative bearing stays in (260°, 300°]
+				s.SetPose(yaw)
+				s.PushFrame(in)
+				s.ReadFrame(outL, outR)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			block, cycle := tc.open(t)
+			hop := block / 2
+			in := make([]float64, hop)
+			for i := range in {
+				in[i] = math.Sin(float64(i) * 0.01)
+			}
+			outL := make([]float64, hop)
+			outR := make([]float64, hop)
+			// Prime: fill the pipeline and warm the FFT scratch pools.
+			for i := 0; i < 8; i++ {
+				cycle(in, outL, outR)
+			}
+			allocs := testing.AllocsPerRun(200, func() { cycle(in, outL, outR) })
+			if allocs != 0 {
+				t.Errorf("steady-state Push+Read allocates %.1f times per cycle, want 0", allocs)
+			}
+		})
 	}
 }
 
