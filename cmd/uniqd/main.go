@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -96,7 +97,7 @@ func main() {
 		StoreSegmentBytes: *storeSegBytes,
 		StoreCompactRatio: *storeCompactRatio,
 		Workers:           *workers,
-		PipelineWorkers:   *pipelineWorkers,
+		Pipeline:          core.PipelineOptions{Workers: *pipelineWorkers},
 		QueueDepth:        *queue,
 		JobTimeout:        *jobTimeout,
 		PriorEnabled:      *priorEnabled,

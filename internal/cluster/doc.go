@@ -1,9 +1,10 @@
 // Package cluster is the horizontal sharding layer in front of a fleet of
 // uniqd nodes: a consistent-hash ring that assigns every user-keyed route
 // to an owning backend, a node registry with active health probes and
-// per-node circuit breaking, and an HTTP gateway (cmd/uniqgw) that
-// forwards unary requests over the typed service client and relays the
-// full-duplex streaming routes verbatim.
+// per-node circuit breaking, and an HTTP gateway (cmd/uniqgw) that relays
+// every user-keyed route as bytes: the caller's request goes to the owning
+// node and the node's answer comes back unchanged, with the streaming
+// routes relayed full-duplex.
 //
 // Sharding model: the ring hashes user identifiers (FNV-1a 64 over
 // "node#vnode" points and user keys), so a user's sessions, jobs,

@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"slices"
 	"strings"
 	"sync"
@@ -92,8 +94,8 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	mux.HandleFunc("GET /v1/jobs/{id}", g.handleJob)
 	mux.HandleFunc("GET /v1/profiles", g.handleList)
 	mux.HandleFunc("GET /v1/profiles/{user}", g.handleProfile)
-	mux.HandleFunc("POST /v1/profiles/{user}/aoa", g.handleAoA)
-	mux.HandleFunc("POST /v1/profiles/{user}/render", g.handleRender)
+	mux.HandleFunc("POST /v1/profiles/{user}/aoa", g.handleUserPost)
+	mux.HandleFunc("POST /v1/profiles/{user}/render", g.handleUserPost)
 	mux.HandleFunc("POST /v1/stream/render/{user}", g.handleStream)
 	mux.HandleFunc("POST /v1/stream/aoa/{user}", g.handleStream)
 	mux.HandleFunc("GET /v1/cluster/nodes", g.handleNodes)
@@ -160,122 +162,47 @@ func gwError(w http.ResponseWriter, code int, errCode, format string, args ...an
 	gwJSON(w, code, gwErrorBody{Error: fmt.Sprintf(format, args...), Code: errCode})
 }
 
-// writeUpstream propagates a forwarding failure: an *APIError travels
-// through unchanged — status, code, message and Retry-After — so backend
-// backpressure (503 queue-full) reaches the external caller exactly as
-// the node emitted it; transport failures become 502.
-func writeUpstream(w http.ResponseWriter, err error) {
-	var ae *service.APIError
-	if errors.As(err, &ae) {
-		if ae.RetryAfter > 0 {
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", int(ae.RetryAfter.Seconds())))
-		}
-		code := ae.Code
-		if code == "" {
-			code = "upstream_error"
-		}
-		gwError(w, ae.StatusCode, code, "%s", ae.Message)
-		return
-	}
-	gwError(w, http.StatusBadGateway, "node_unreachable", "backend unreachable: %v", err)
-}
+// --- user-keyed routes ---
 
-// report classifies one exchange for the breaker and metrics: any HTTP
-// response — success or error — proves the node alive; only transport
-// failures count against it.
-func (g *Gateway) report(n *Node, route string, took time.Duration, err error) {
-	outcome := outcomeOK
-	var ae *service.APIError
-	switch {
-	case err == nil:
-		g.reg.ReportSuccess(n)
-	case errors.As(err, &ae):
-		g.reg.ReportSuccess(n)
-		if ae.StatusCode >= 500 {
-			outcome = outcomeUpstream5xx
-		} else {
-			outcome = outcomeUpstream4xx
-		}
-	default:
-		g.reg.ReportFailure(n, err)
-		outcome = outcomeTransport
-	}
-	g.metrics.observeRoute(n.Name, route, outcome, took)
-}
-
-// forward runs fn against key's candidate nodes in ring order. Transport
-// errors advance to the next candidate (the node may just be gone); an
-// HTTP-level response, error or not, is authoritative and stops the walk.
-func (g *Gateway) forward(route, key string, max int, fn func(n *Node) error) (*Node, error) {
-	nodes := g.reg.Pick(key, max)
-	if len(nodes) == 0 {
-		return nil, errNoNodes
-	}
-	var err error
-	for _, n := range nodes {
-		start := time.Now()
-		err = fn(n)
-		g.report(n, route, time.Since(start), err)
-		var ae *service.APIError
-		if err == nil || errors.As(err, &ae) {
-			return n, err
-		}
-	}
-	return nil, err
-}
-
-var errNoNodes = errors.New("cluster: no available node for key")
-
-// writeForwardErr maps a forward() failure onto the front door.
-func writeForwardErr(w http.ResponseWriter, err error) {
-	if errors.Is(err, errNoNodes) {
-		w.Header().Set("Retry-After", "1")
-		gwError(w, http.StatusServiceUnavailable, "no_nodes", "no available backend node")
-		return
-	}
-	writeUpstream(w, err)
-}
-
-// decodeBody mirrors uniqd's bounded JSON decode.
-func (g *Gateway) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			gwError(w, http.StatusRequestEntityTooLarge, service.CodeTooLarge, "body exceeds %d bytes", tooBig.Limit)
-		} else {
-			gwError(w, http.StatusBadRequest, service.CodeBadJSON, "bad JSON body: %v", err)
-		}
-		return false
-	}
-	return true
-}
-
-// --- user-keyed unary routes ---
-
+// handleSubmit forwards a session to its user's owner. Only the routing
+// key is decoded; the body travels as the caller sent it. Transport-level
+// failover is safe for submits: a node that never answered never accepted
+// the job, so trying the successor cannot double-run a session.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req service.SubmitRequest
-	if !g.decodeBody(w, r, &req) {
+	body, ok := g.readBody(w, r)
+	if !ok {
 		return
 	}
-	var resp service.SubmitResponse
-	// Transport-level failover is safe for submits: a node that never
-	// answered never accepted the job, so trying the successor cannot
-	// double-run a session.
-	node, err := g.forward(r.Pattern, req.User, g.reg.Len(), func(n *Node) error {
-		var ferr error
-		resp, ferr = n.Client().SubmitJob(r.Context(), req.User, req.Input)
-		return ferr
-	})
-	if err != nil {
-		writeForwardErr(w, err)
+	// Decode the first JSON value, as a node does, so every body a node
+	// would take gets through.
+	var key struct{ User string }
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&key); err != nil {
+		gwError(w, http.StatusBadRequest, service.CodeBadJSON, "bad JSON body: %v", err)
+		return
+	}
+	a, err := g.forward(r, key.User, g.reg.Len(), body, nil)
+	if err != nil || a.status != http.StatusAccepted {
+		reply(w, a, err)
 		return
 	}
 	// Qualify the job ID with the accepting node so polls route back to it
 	// without a global job table.
-	resp.JobID = resp.JobID + "@" + node.Name
-	resp.StatusURL = "/v1/jobs/" + resp.JobID
-	gwJSON(w, http.StatusAccepted, resp)
+	rewrite(w, a, func(ack *service.SubmitResponse) {
+		ack.JobID += "@" + a.node.Name
+		ack.StatusURL = "/v1/jobs/" + ack.JobID
+	})
+}
+
+// rewrite decodes a node's small JSON reply (a submit ack or a job
+// status), applies edit and writes it with the node's status.
+func rewrite[T any](w http.ResponseWriter, a *answer, edit func(*T)) {
+	var v T
+	if err := json.Unmarshal(a.body, &v); err != nil {
+		reply(w, nil, fmt.Errorf("unreadable reply from %s: %w", a.node.Name, err))
+		return
+	}
+	edit(&v)
+	gwJSON(w, a.status, v)
 }
 
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -292,90 +219,44 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 		gwError(w, http.StatusNotFound, service.CodeJobNotFound, "unknown node %q in job id", nodeName)
 		return
 	}
-	start := time.Now()
-	st, err := n.Client().Job(r.Context(), bare)
-	g.report(n, r.Pattern, time.Since(start), err)
-	if err != nil {
-		writeUpstream(w, err)
+	a, err := g.exchange(r, n, "/v1/jobs/"+url.PathEscape(bare), nil)
+	if err != nil || a.status != http.StatusOK {
+		reply(w, a, err)
 		return
 	}
-	st.ID = id // keep the node-qualified form callers poll with
-	gwJSON(w, http.StatusOK, st)
+	// Keep the node-qualified form callers poll with.
+	rewrite(w, a, func(st *service.JobStatus) { st.ID = id })
 }
 
 func (g *Gateway) handleProfile(w http.ResponseWriter, r *http.Request) {
-	user := r.PathValue("user")
-	nodes := g.reg.Pick(user, 1+g.cfg.ReadFallback)
-	if len(nodes) == 0 {
-		writeForwardErr(w, errNoNodes)
-		return
-	}
-	var lastErr error
-	for i, n := range nodes {
-		start := time.Now()
-		p, err := n.Client().Profile(r.Context(), user)
-		g.report(n, r.Pattern, time.Since(start), err)
-		if err == nil {
-			w.Header().Set("Uniq-Served-By", n.Name)
-			if i > 0 {
-				// A successor answered: after a failover or rebalance this
-				// may be a stale copy — say so rather than hide it.
-				w.Header().Set("Uniq-Fallback", "true")
-				g.metrics.fallback.Inc()
-			}
-			gwJSON(w, http.StatusOK, p)
-			return
-		}
-		var ae *service.APIError
-		if errors.As(err, &ae) && ae.StatusCode == http.StatusBadRequest {
-			// Bad user IDs are bad everywhere; don't walk the ring.
-			writeUpstream(w, err)
-			return
-		}
+	a, err := g.forward(r, r.PathValue("user"), 1+g.cfg.ReadFallback, nil, func(status int) bool {
 		// Not-found and 5xx both fall through to the successors: the owner
 		// may have just taken over an arc it never stored, while the
-		// previous owner still holds the profile.
-		lastErr = err
+		// previous owner still holds the profile. Bad user IDs are bad
+		// everywhere; don't walk the ring for them.
+		return status != http.StatusOK && status != http.StatusBadRequest
+	})
+	if err == nil && a.status == http.StatusOK {
+		w.Header().Set("Uniq-Served-By", a.node.Name)
+		if a.hop > 0 {
+			// A successor answered: after a failover or rebalance this
+			// may be a stale copy — say so rather than hide it.
+			w.Header().Set("Uniq-Fallback", "true")
+			g.metrics.fallback.Inc()
+		}
 	}
-	writeUpstream(w, lastErr)
+	reply(w, a, err)
 }
 
-func (g *Gateway) handleAoA(w http.ResponseWriter, r *http.Request) {
-	user := r.PathValue("user")
-	var req service.AoARequest
-	if !g.decodeBody(w, r, &req) {
+// handleUserPost forwards the unary per-profile queries (AoA, render) to
+// the user's owner, failing over to a successor on transport errors.
+func (g *Gateway) handleUserPost(w http.ResponseWriter, r *http.Request) {
+	body, ok := g.readBody(w, r)
+	if !ok {
 		return
 	}
-	var resp service.AoAResponse
-	_, err := g.forward(r.Pattern, user, 1+g.cfg.ReadFallback, func(n *Node) error {
-		var ferr error
-		resp, ferr = n.Client().AoA(r.Context(), user, req)
-		return ferr
-	})
-	if err != nil {
-		writeForwardErr(w, err)
-		return
-	}
-	gwJSON(w, http.StatusOK, resp)
-}
-
-func (g *Gateway) handleRender(w http.ResponseWriter, r *http.Request) {
-	user := r.PathValue("user")
-	var req service.RenderRequest
-	if !g.decodeBody(w, r, &req) {
-		return
-	}
-	var resp service.RenderResponse
-	_, err := g.forward(r.Pattern, user, 1+g.cfg.ReadFallback, func(n *Node) error {
-		var ferr error
-		resp, ferr = n.Client().Render(r.Context(), user, req)
-		return ferr
-	})
-	if err != nil {
-		writeForwardErr(w, err)
-		return
-	}
-	gwJSON(w, http.StatusOK, resp)
+	a, err := g.forward(r, r.PathValue("user"), 1+g.cfg.ReadFallback, body, nil)
+	reply(w, a, err)
 }
 
 // --- fan-out list ---
@@ -383,43 +264,41 @@ func (g *Gateway) handleRender(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 	nodes := g.reg.Healthy()
 	if len(nodes) == 0 {
-		writeForwardErr(w, errNoNodes)
+		reply(w, nil, errNoNodes)
 		return
 	}
 	type part struct {
-		users []string
+		a     *answer
 		err   error
+		users []string
 	}
 	parts := make([]part, len(nodes))
 	var wg sync.WaitGroup
 	for i, n := range nodes {
 		wg.Add(1)
-		go func(i int, n *Node) {
+		go func(p *part, n *Node) {
 			defer wg.Done()
-			start := time.Now()
-			users, err := n.Client().Users(r.Context())
-			g.report(n, r.Pattern, time.Since(start), err)
-			parts[i] = part{users: users, err: err}
-		}(i, n)
+			p.a, p.err = g.exchange(r, n, r.URL.EscapedPath(), nil)
+			if p.err == nil && p.a.status == http.StatusOK {
+				var list struct{ Users []string }
+				if err := json.Unmarshal(p.a.body, &list); err != nil {
+					p.err = fmt.Errorf("decode user list from %s: %w", n.Name, err)
+				}
+				p.users = list.Users
+			}
+		}(&parts[i], n)
 	}
 	wg.Wait()
 	merged := make([]string, 0, 64)
-	seen := make(map[string]struct{}, 64)
 	failed := 0
 	for _, p := range parts {
-		if p.err != nil {
+		if p.err != nil || p.a.status != http.StatusOK {
 			failed++
-			continue
 		}
-		for _, u := range p.users {
-			if _, dup := seen[u]; !dup {
-				seen[u] = struct{}{}
-				merged = append(merged, u)
-			}
-		}
+		merged = append(merged, p.users...)
 	}
 	if failed == len(nodes) {
-		writeUpstream(w, parts[0].err)
+		reply(w, parts[0].a, parts[0].err)
 		return
 	}
 	// Ejected nodes are excluded from the fan-out upfront; their keys are
@@ -432,7 +311,7 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 		g.metrics.fanParts.Inc()
 	}
 	slices.Sort(merged)
-	gwJSON(w, http.StatusOK, map[string][]string{"users": merged})
+	gwJSON(w, http.StatusOK, map[string][]string{"users": slices.Compact(merged)})
 }
 
 // --- cluster introspection ---

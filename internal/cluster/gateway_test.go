@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,10 +28,32 @@ type fakeNode struct {
 	// missing flips profile reads into 404.
 	missing atomic.Bool
 	users   []string
+	// received is the last request body each POST route pattern saw.
+	mu       sync.Mutex
+	received map[string][]byte
+	// rawProfile, when set before the first read, is served verbatim for
+	// profile reads.
+	rawProfile []byte
 }
 
-func newFakeNode(t *testing.T, name string, users ...string) *fakeNode {
-	f := &fakeNode{name: name, users: users}
+// record stores r's body as the last one its route received and returns it.
+func (f *fakeNode) record(r *http.Request) []byte {
+	body, _ := io.ReadAll(r.Body)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.received[r.Pattern] = body
+	return body
+}
+
+// lastBody returns the last body route received (nil if none).
+func (f *fakeNode) lastBody(route string) []byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.received[route]
+}
+
+func newFakeNode(t testing.TB, name string, users ...string) *fakeNode {
+	f := &fakeNode{name: name, users: users, received: map[string][]byte{}}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"status":"ok","version":"fake-%s"}`, name)
@@ -43,8 +67,7 @@ func newFakeNode(t *testing.T, name string, users ...string) *fakeNode {
 			return
 		}
 		f.submits.Add(1)
-		var req service.SubmitRequest
-		json.NewDecoder(r.Body).Decode(&req)
+		f.record(r)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
 		json.NewEncoder(w).Encode(service.SubmitResponse{
@@ -74,14 +97,35 @@ func newFakeNode(t *testing.T, name string, users ...string) *fakeNode {
 			fmt.Fprintf(w, `{"error":"no profile","code":"profile_not_found"}`)
 			return
 		}
+		if f.rawProfile != nil {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(f.rawProfile)
+			return
+		}
 		json.NewEncoder(w).Encode(service.StoredProfile{User: r.PathValue("user"), JobID: "from-" + name})
 	})
+	// The per-profile queries answer with deliberately non-canonical JSON
+	// (spacing, 40.0, a field the wire type lacks) so a relay that
+	// re-encodes is caught.
+	for _, route := range []string{"POST /v1/profiles/{user}/aoa", "POST /v1/profiles/{user}/render"} {
+		mux.HandleFunc(route, func(w http.ResponseWriter, r *http.Request) {
+			f.record(r)
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprintf(w, `{ "angleDeg" : 40.0, "from": %q,  "route": %q }`, name, r.Pattern)
+		})
+	}
 	f.ts = httptest.NewServer(mux)
 	t.Cleanup(f.ts.Close)
 	return f
 }
 
 func newTestGateway(t *testing.T, fakes ...*fakeNode) (*Gateway, *httptest.Server) {
+	return newTestGatewayMaxBody(t, 0, fakes...)
+}
+
+// newTestGatewayMaxBody is newTestGateway with a MaxBodyBytes bound (0
+// keeps the default).
+func newTestGatewayMaxBody(t testing.TB, maxBody int64, fakes ...*fakeNode) (*Gateway, *httptest.Server) {
 	specs := make([]NodeSpec, len(fakes))
 	for i, f := range fakes {
 		specs[i] = NodeSpec{Name: f.name, BaseURL: f.ts.URL}
@@ -92,6 +136,7 @@ func newTestGateway(t *testing.T, fakes ...*fakeNode) (*Gateway, *httptest.Serve
 		ProbeInterval: 25 * time.Millisecond,
 		ProbeTimeout:  time.Second,
 		EjectAfter:    2,
+		MaxBodyBytes:  maxBody,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -480,4 +525,128 @@ func TestGatewayMetricsExposed(t *testing.T) {
 			t.Fatalf("text exposition missing %s", want)
 		}
 	}
+}
+
+// post sends body to the gateway and returns the response with its body
+// read.
+func post(t testing.TB, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, got
+}
+
+// TestGatewayRelaysBodiesVerbatim: the gateway forwards request bodies and
+// node answers as bytes — non-canonical JSON (spacing, 1.0, fields the
+// wire types lack) arrives exactly as it was written, both ways.
+func TestGatewayRelaysBodiesVerbatim(t *testing.T) {
+	a := newFakeNode(t, "a")
+	a.rawProfile = []byte(`{ "user":"user-4",  "jobId" : "from-a", "gain": 1.0, "notAField": [1, 2.50] }` + "\n")
+	_, front := newTestGateway(t, a)
+
+	submit := `{ "user" : "user-4", "input": {"sampleRate": 48000.0, "probe": [1.0, 0 ]}, "note": "kept" }`
+	resp, _ := post(t, front.URL+"/v1/sessions", submit)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
+	}
+	if got := a.lastBody("POST /v1/sessions"); string(got) != submit {
+		t.Fatalf("node received submit\n%s\nwant the caller's bytes\n%s", got, submit)
+	}
+
+	for _, route := range []string{"aoa", "render"} {
+		body := `{"left": [1.0, 2], "right":[3, 4.0], "angleDeg": 40.0, "extra": true}`
+		resp, got := post(t, front.URL+"/v1/profiles/user-4/"+route, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s status = %d, want 200", route, resp.StatusCode)
+		}
+		pattern := "POST /v1/profiles/{user}/" + route
+		if rx := a.lastBody(pattern); string(rx) != body {
+			t.Fatalf("node received %s\n%s\nwant the caller's bytes\n%s", route, rx, body)
+		}
+		if want := fmt.Sprintf(`{ "angleDeg" : 40.0, "from": "a",  "route": %q }`, pattern); string(got) != want {
+			t.Fatalf("caller received %s\n%s\nwant the node's bytes\n%s", route, got, want)
+		}
+	}
+
+	resp, err := http.Get(front.URL + "/v1/profiles/user-4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("profile status = %d, want 200", resp.StatusCode)
+	}
+	if string(got) != string(a.rawProfile) {
+		t.Fatalf("caller received profile\n%s\nwant the node's bytes\n%s", got, a.rawProfile)
+	}
+}
+
+// TestGatewayRejectsBadSubmitLocally: a malformed or oversized session is
+// refused at the gateway, before any node is contacted.
+func TestGatewayRejectsBadSubmitLocally(t *testing.T) {
+	a := newFakeNode(t, "a")
+	_, front := newTestGatewayMaxBody(t, 256, a)
+
+	for _, tc := range []struct {
+		name, body string
+		status     int
+		code       string
+	}{
+		{"malformed", `{"user": "user-1", "input": {`, http.StatusBadRequest, service.CodeBadJSON},
+		{"wrong key type", `{"user": 7, "input": {}}`, http.StatusBadRequest, service.CodeBadJSON},
+		{"oversized", `{"user": "user-1", "input": {"probe": [` + strings.Repeat("0,", 200) + `0]}}`,
+			http.StatusRequestEntityTooLarge, service.CodeTooLarge},
+	} {
+		resp, body := post(t, front.URL+"/v1/sessions", tc.body)
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%s: status = %d (%s), want %d", tc.name, resp.StatusCode, body, tc.status)
+		}
+		var e gwErrorBody
+		if err := json.Unmarshal(body, &e); err != nil || e.Code != tc.code {
+			t.Fatalf("%s: error body %s, want code %q", tc.name, body, tc.code)
+		}
+	}
+	if n := a.submits.Load(); n != 0 {
+		t.Fatalf("node saw %d submits, want 0", n)
+	}
+}
+
+// FuzzGatewaySubmit: for any session body the gateway either refuses it
+// itself (400 or 413, node untouched) or the node receives exactly the
+// bytes the caller sent.
+func FuzzGatewaySubmit(f *testing.F) {
+	f.Add([]byte(`{"user":"user-7","input":{}}`))
+	f.Add([]byte(`{ "User" : "u", "input": {"sampleRate": 48000.0}, "x": null } trailing`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"user": 7}`))
+	f.Add([]byte(`{"user": "` + strings.Repeat("a", 600) + `"}`))
+	node := newFakeNode(f, "a")
+	gw, _ := newTestGatewayMaxBody(f, 512, node)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := node.submits.Load()
+		// The front door is called in process; only the gateway-to-node hop
+		// goes over loopback.
+		rec := httptest.NewRecorder()
+		gw.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			if n := node.submits.Load(); n != before {
+				t.Fatalf("refused body %q still reached the node", body)
+			}
+		case http.StatusAccepted:
+			if rx := node.lastBody("POST /v1/sessions"); !bytes.Equal(rx, body) {
+				t.Fatalf("node received %q, want %q", rx, body)
+			}
+		default:
+			t.Fatalf("status %d (%s) for body %q", rec.Code, rec.Body, body)
+		}
+	})
 }

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -9,9 +11,159 @@ import (
 	"repro/internal/service"
 )
 
-// streamRelayHeaders are the backend response headers a stream relay
-// forwards to the caller before the first output byte.
-var streamRelayHeaders = []string{"Content-Type", "Uniq-Sample-Rate", "Retry-After"}
+// relayHeaders are the node response headers the gateway passes on to the
+// caller; everything else about an answer is its status and body bytes.
+var relayHeaders = []string{"Content-Type", "Retry-After", "Uniq-Sample-Rate"}
+
+var errNoNodes = errors.New("cluster: no available node for key")
+
+// send builds and sends the upstream request of every forwarded route: the
+// caller's method, query and Content-Type against node n at path (the job
+// route strips its node qualifier; every other route keeps the caller's
+// path), carrying body. A body of unknown length — a live stream — goes
+// chunked with its headers flushed at once, so the node can answer before
+// the caller's stream ends.
+func (g *Gateway) send(r *http.Request, n *Node, path string, body io.Reader) (*http.Response, error) {
+	if r.URL.RawQuery != "" {
+		path += "?" + r.URL.RawQuery
+	}
+	out, err := http.NewRequestWithContext(r.Context(), r.Method, n.BaseURL+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if ct := r.Header.Get("Content-Type"); ct != "" {
+		out.Header.Set("Content-Type", ct)
+	}
+	if out.ContentLength == 0 && out.Body != nil && out.Body != http.NoBody {
+		out.ContentLength = -1
+	}
+	client := g.cfg.HTTPClient
+	if client == nil {
+		client = http.DefaultClient
+	}
+	return client.Do(out)
+}
+
+// account classifies one finished exchange for the breaker and metrics:
+// any HTTP response — success or error — proves the node alive; a
+// transport or mid-body read failure (err) counts against it.
+func (g *Gateway) account(n *Node, route string, start time.Time, status int, err error) {
+	outcome := outcomeOK
+	switch {
+	case err != nil:
+		g.reg.ReportFailure(n, err)
+		outcome = outcomeTransport
+	case status >= 500:
+		outcome = outcomeUpstream5xx
+	case status < 200 || status > 299:
+		outcome = outcomeUpstream4xx
+	}
+	if err == nil {
+		g.reg.ReportSuccess(n)
+	}
+	g.metrics.observeRoute(n.Name, route, outcome, time.Since(start))
+}
+
+// answer is one node's buffered reply to a unary request.
+type answer struct {
+	node   *Node
+	hop    int // position of node in the ring walk; > 0 is a successor
+	status int
+	header http.Header
+	body   []byte
+}
+
+// exchange runs one unary request against n and buffers the whole reply,
+// so a walk can still move on after a mid-body failure.
+func (g *Gateway) exchange(r *http.Request, n *Node, path string, body []byte) (*answer, error) {
+	start := time.Now()
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	resp, err := g.send(r, n, path, rd)
+	if err != nil {
+		g.account(n, r.Pattern, start, 0, err)
+		return nil, err
+	}
+	defer resp.Body.Close()
+	a := &answer{node: n, status: resp.StatusCode, header: resp.Header}
+	a.body, err = io.ReadAll(resp.Body)
+	if err != nil {
+		err = fmt.Errorf("read answer from %s: %w", n.Name, err)
+	}
+	g.account(n, r.Pattern, start, a.status, err)
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// forward sends a unary request to key's candidates in ring order. A
+// transport failure always moves on to the next candidate (the node may
+// just be gone, and one that never answered never acted on the request);
+// an HTTP answer ends the walk unless walkOn(status) asks for the next
+// candidate too. It returns the exchange that ended the walk.
+func (g *Gateway) forward(r *http.Request, key string, max int, body []byte, walkOn func(status int) bool) (*answer, error) {
+	nodes := g.reg.Pick(key, max)
+	if len(nodes) == 0 {
+		return nil, errNoNodes
+	}
+	var a *answer
+	var err error
+	for hop, n := range nodes {
+		if a, err = g.exchange(r, n, r.URL.EscapedPath(), body); err != nil {
+			continue
+		}
+		a.hop = hop
+		if walkOn == nil || !walkOn(a.status) {
+			break
+		}
+	}
+	return a, err
+}
+
+// reply writes a forwarded exchange to the caller: the node's answer as
+// the node wrote it, 503 when no node could take the key, or 502 when the
+// last candidate did not answer.
+func reply(w http.ResponseWriter, a *answer, err error) {
+	switch {
+	case errors.Is(err, errNoNodes):
+		w.Header().Set("Retry-After", "1")
+		gwError(w, http.StatusServiceUnavailable, "no_nodes", "no available backend node")
+	case err != nil:
+		gwError(w, http.StatusBadGateway, "node_unreachable", "backend unreachable: %v", err)
+	default:
+		copyHeaders(w.Header(), a.header)
+		w.WriteHeader(a.status)
+		_, _ = w.Write(a.body)
+	}
+}
+
+func copyHeaders(dst, src http.Header) {
+	for _, h := range relayHeaders {
+		if v := src.Get(h); v != "" {
+			dst.Set(h, v)
+		}
+	}
+}
+
+// readBody buffers a unary request body under MaxBodyBytes, so a transport
+// failover can replay it, answering 413 (or 400 on a broken upload)
+// itself.
+func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			gwError(w, http.StatusRequestEntityTooLarge, service.CodeTooLarge, "body exceeds %d bytes", tooBig.Limit)
+		} else {
+			gwError(w, http.StatusBadRequest, service.CodeBadRequest, "read body: %v", err)
+		}
+		return nil, false
+	}
+	return body, true
+}
 
 // handleStream relays a full-duplex chunked stream (/v1/stream/render/...,
 // /v1/stream/aoa/...) to the key owner. Unlike the unary routes there is
@@ -19,72 +171,45 @@ var streamRelayHeaders = []string{"Content-Type", "Uniq-Sample-Rate", "Retry-Aft
 // forwards, so a mid-dial retry could replay a partial stream. The caller
 // reconnects instead — by then the prober has moved the key.
 func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
-	user := r.PathValue("user")
-	nodes := g.reg.Pick(user, 1)
+	nodes := g.reg.Pick(r.PathValue("user"), 1)
 	if len(nodes) == 0 {
-		writeForwardErr(w, errNoNodes)
+		reply(w, nil, errNoNodes)
 		return
 	}
 	n := nodes[0]
 	start := time.Now()
-	outcome := g.relayStream(w, r, n)
-	g.metrics.observeRoute(n.Name, r.Pattern, outcome, time.Since(start))
-}
-
-// relayStream pipes one streaming exchange through to node n and returns
-// the routing outcome for metrics. Breaker accounting happens inline: a
-// response — any status — proves the node alive; a dial/transport failure
-// counts against it.
-func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, n *Node) string {
-	out, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		n.BaseURL+r.URL.Path+queryOf(r), r.Body)
+	resp, err := g.send(r, n, r.URL.EscapedPath(), r.Body)
 	if err != nil {
-		gwError(w, http.StatusInternalServerError, service.CodeInternal, "build upstream request: %v", err)
-		return outcomeTransport
-	}
-	out.Header.Set("Content-Type", r.Header.Get("Content-Type"))
-	// The backend replies (headers) before the stream body completes; the
-	// transport must not wait for request EOF. Chunked both ways.
-	out.ContentLength = -1
-
-	client := g.cfg.HTTPClient
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(out)
-	if err != nil {
-		g.reg.ReportFailure(n, err)
-		gwError(w, http.StatusBadGateway, "node_unreachable", "backend unreachable: %v", err)
-		return outcomeTransport
+		g.account(n, r.Pattern, start, 0, err)
+		reply(w, nil, err)
+		return
 	}
 	defer resp.Body.Close()
-	g.reg.ReportSuccess(n)
+	err = relayStream(w, resp, n.Name)
+	g.account(n, r.Pattern, start, resp.StatusCode, err)
+}
 
-	for _, h := range streamRelayHeaders {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.Header().Set("Uniq-Served-By", n.Name)
+// relayStream pipes a node's streaming response through to the caller,
+// returning a mid-stream failure to read from the node.
+func relayStream(w http.ResponseWriter, resp *http.Response, node string) error {
+	copyHeaders(w.Header(), resp.Header)
+	w.Header().Set("Uniq-Served-By", node)
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		// Pre-stream rejection (no profile, draining, bad params): the
-		// backend's JSON error body passes through with its status.
+		// node's JSON error body passes through with its status.
 		w.Header().Set("Connection", "close")
 		w.WriteHeader(resp.StatusCode)
 		_, _ = io.Copy(w, io.LimitReader(resp.Body, 1<<20))
-		if resp.StatusCode >= 500 {
-			return outcomeUpstream5xx
-		}
-		return outcomeUpstream4xx
+		return nil
 	}
 
 	rc := http.NewResponseController(w)
 	// Full duplex: keep reading the caller's request body while writing the
-	// backend's response — the stream protocol interleaves both directions.
+	// node's response — the stream protocol interleaves both directions.
 	if err := rc.EnableFullDuplex(); err != nil {
 		w.Header().Set("Connection", "close")
 		gwError(w, http.StatusInternalServerError, service.CodeInternal, "full-duplex relay unsupported: %v", err)
-		return outcomeTransport
+		return nil
 	}
 	w.WriteHeader(resp.StatusCode)
 	_ = rc.Flush()
@@ -96,25 +221,17 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, n *Node) s
 		nr, rerr := resp.Body.Read(buf)
 		if nr > 0 {
 			if _, werr := w.Write(buf[:nr]); werr != nil {
-				return outcomeOK // caller went away; backend side already accounted
+				return nil // the caller went away; the node is fine
 			}
 			_ = rc.Flush()
 		}
+		if errors.Is(rerr, io.EOF) {
+			return nil
+		}
 		if rerr != nil {
-			if !errors.Is(rerr, io.EOF) {
-				// Mid-stream backend death: too late for a status change, the
-				// truncated chunked body is the signal the caller sees.
-				g.reg.ReportFailure(n, rerr)
-				return outcomeTransport
-			}
-			return outcomeOK
+			// Mid-stream node death: too late for a status change, the
+			// truncated chunked body is the signal the caller sees.
+			return rerr
 		}
 	}
-}
-
-func queryOf(r *http.Request) string {
-	if r.URL.RawQuery == "" {
-		return ""
-	}
-	return "?" + r.URL.RawQuery
 }

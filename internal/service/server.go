@@ -34,13 +34,12 @@ type Config struct {
 	Workers    int
 	QueueDepth int
 	JobTimeout time.Duration
-	// Pipeline is applied to every personalization solve.
+	// Pipeline is applied to every personalization solve. Its Workers
+	// sizes the per-solve pool that fans channel estimation and the fusion
+	// seeding grid across cores (0 = GOMAXPROCS, < 0 = sequential); it is
+	// independent of Workers (concurrent solves), so total parallelism is
+	// roughly Workers × Pipeline.Workers.
 	Pipeline core.PipelineOptions
-	// PipelineWorkers overrides Pipeline.Workers when non-zero: the size
-	// of the per-solve worker pool that fans channel estimation and the
-	// fusion seeding grid across cores. Independent of Workers (concurrent
-	// solves): total parallelism is roughly Workers × PipelineWorkers.
-	PipelineWorkers int
 	// PriorEnabled turns on the population prior: at startup the service
 	// loads (or fits from stored profiles) a model persisted under the
 	// store directory, injects it into every non-exact fusion solve as a
@@ -92,9 +91,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
-	}
-	if cfg.PipelineWorkers != 0 {
-		cfg.Pipeline.Workers = cfg.PipelineWorkers
 	}
 	if cfg.Solver != nil {
 		cfg.run = cfg.Solver

@@ -232,7 +232,7 @@ func newConvolver(t *hrtf.Table, opt ConvolverOptions, ws *workspace) (*Convolve
 	return c, nil
 }
 
-// loadSpectra (re)builds the per-angle partition spectra for a table.
+// loadSpectra builds the per-angle partition spectra for a table.
 func (c *Convolver) loadSpectra(t *hrtf.Table) error {
 	n := t.NumAngles()
 	specL := make([][][]complex128, n)
@@ -281,29 +281,6 @@ func (c *Convolver) loadSpectra(t *hrtf.Table) error {
 		}
 	}
 	c.specL, c.specR = specL, specR
-	return nil
-}
-
-// SetTable switches the convolver to a different personalization profile.
-// Blocks formed after the switch render through the new table; the Bartlett
-// overlap crossfades the transition click-free. The new table must share
-// the sample rate and angular layout role of the old one and its longest
-// far-field IR must not exceed the convolver's configured tail
-// (MaxFarIRLen at construction); build a new Convolver otherwise.
-func (c *Convolver) SetTable(t *hrtf.Table) error {
-	if t == nil || t.NumAngles() == 0 || t.MaxFarIRLen() == 0 {
-		return ErrNoFarField
-	}
-	if t.SampleRate != c.sr {
-		return fmt.Errorf("stream: table sample rate %g differs from the stream's %g", t.SampleRate, c.sr)
-	}
-	if got := t.MaxFarIRLen(); got > c.irLen {
-		return fmt.Errorf("stream: new table IR length %d exceeds the convolver's tail %d", got, c.irLen)
-	}
-	if err := c.loadSpectra(t); err != nil {
-		return err
-	}
-	c.table = t
 	return nil
 }
 
